@@ -6,9 +6,12 @@ in the sigma_x eigenbasis: the inertial combination psi = psi_e + psi_o
 is transported at speed c_plus = f + g (identically 1), while the
 accelerated-frame combination psi' = psi_e - psi_o is transported at
 the variable speed c_minus = f - g.  The solver therefore advances the
-two scalars independently (method of lines, classical RK4) and
-reassembles (psi_e, psi_o) on output; a coupled two-component stepper
-is kept alongside as a consistency hook.
+two scalars as the rows of one (2, N) array (method of lines, classical
+RK4), which TransportStepper.step_eigen overwrites in place without
+allocating; evolve reassembles (psi_e, psi_o) only at snapshots, each
+a new array that later steps leave alone.  A coupled two-component
+stepper, with plain allocating RK4, is kept alongside as a
+consistency hook.
 
 The generator is applied in non-symmetrized form, coefficient times
 derivative; it is not Hermitian for variable g, so only the inertial
@@ -23,9 +26,10 @@ incoming physics).  'periodic' wraps the stencils and is supported for
 convergence experiments only, since f and g are not periodic.
 """
 
+import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -270,20 +274,37 @@ def _derivative_central4(v: np.ndarray, dx: float, periodic: bool) -> np.ndarray
     return d
 
 
-def _derivative_upwind1(
-    v: np.ndarray, dx: float, speeds: np.ndarray, periodic: bool
-) -> np.ndarray:
+# The four edge rows 0, 1, N-2, N-1 of the fourth-order derivative
+# (times 12 dx), as source columns and weights in the order the terms are
+# summed: the one-sided closures on the five outermost samples of each
+# side, or for periodic windows the interior stencil wrapped round.
+_CLOSURE_TERMS = (
+    ((0, 1, 2, 3, 4), (-25.0, 48.0, -36.0, 16.0, -3.0)),
+    ((0, 1, 2, 3, 4), (-3.0, -10.0, 18.0, -6.0, 1.0)),
+    ((-1, -2, -3, -4, -5), (3.0, 10.0, -18.0, 6.0, -1.0)),
+    ((-1, -2, -3, -4, -5), (25.0, -48.0, 36.0, -16.0, 3.0)),
+)
+_INTERIOR_TERMS = ((2, 1, -1, -2), (-1.0, 8.0, -8.0, 1.0))
+
+
+def _edge_rows(n: int, periodic: bool):
+    """The derivative's edge rows as flat indices into a (2, N) pair in C
+    order: the targets (8,), the sources (term, row, edge), and the
+    weights (term, 1, edge)."""
+    columns = np.array([0, 1, n - 2, n - 1])
     if periodic:
-        backward = (v - np.roll(v, 1)) / dx
-        forward = (np.roll(v, -1) - v) / dx
+        offsets, weights = _INTERIOR_TERMS
+        sources = (columns + np.array(offsets)[:, None]) % n
+        weights = np.repeat(np.array(weights)[:, None], 4, axis=1)
     else:
-        backward = np.empty_like(v)
-        backward[1:] = (v[1:] - v[:-1]) / dx
-        backward[0] = (v[1] - v[0]) / dx
-        forward = np.empty_like(v)
-        forward[:-1] = (v[1:] - v[:-1]) / dx
-        forward[-1] = (v[-1] - v[-2]) / dx
-    return np.where(speeds >= 0.0, backward, forward)
+        sources = np.array([offsets for offsets, _ in _CLOSURE_TERMS]).T % n
+        weights = np.array([weights for _, weights in _CLOSURE_TERMS]).T
+    row_starts = n * np.arange(2)[:, None]
+    return (
+        (row_starts + columns).ravel(),
+        row_starts + sources[:, None, :],
+        weights[:, None, :].astype(complex),
+    )
 
 
 def _sponge_sigma(window: GridWindow, max_speed: float):
@@ -297,12 +318,30 @@ def _sponge_sigma(window: GridWindow, max_speed: float):
     return strength * cos_ramp(ramp_left), strength * cos_ramp(ramp_right)
 
 
-class TransportStepper:
-    """Advances the two transported scalars by RK4 steps.
+def _eigen_pair(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """The transported pair (psi, psi') = (even + odd, even - odd) as one
+    new (2, N) array."""
+    return np.stack((even + odd, even - odd))
 
-    The stepper owns the sampled speeds, the derivative scheme and the
-    per-component sponge profiles; states pass through as plain arrays
-    or as EnlargedSpinorField values.
+
+def _assemble(grid: Grid, pair: np.ndarray) -> EnlargedSpinorField:
+    """A new two-component state (even, odd) from the pair (psi, psi')."""
+    plus, minus = pair
+    return EnlargedSpinorField(
+        grid=grid, even=0.5 * (plus + minus), odd=0.5 * (plus - minus)
+    )
+
+
+class TransportStepper:
+    """Advances the transported pair (psi, psi') by RK4 steps, in place.
+
+    The pair is one (2, N) complex array: row 0 is the inertial psi,
+    moved at c_plus, row 1 the accelerated-frame psi', moved at c_minus.
+    step_eigen overwrites it and allocates no array of the grid's size.
+    For that the stepper holds, as (2, N) arrays, the negated speeds,
+    the sponge rates of each component, the decay factors exp(-dt sigma)
+    of the step sizes in use, and four work buffers: the stage slope k,
+    the stage input, the slope accumulator and one stencil scratch.
     """
 
     def __init__(self, generator: Generator, solver: SolverConfig):
@@ -316,45 +355,103 @@ class TransportStepper:
                 "use only for convergence experiments",
                 stacklevel=2,
             )
-        sigma_left, sigma_right = _sponge_sigma(
-            generator.window, generator.max_speed
+        n = generator.window.n
+        speeds = np.stack((generator.c_plus, generator.c_minus))
+        self._central = solver.scheme == "central4"
+        # numpy divides complex by real as a product with the reciprocal, so
+        # this multiplier gives the values of _derivative_central4's division
+        self._inverse_spacing = 1.0 / (12.0 * self.dx if self._central else self.dx)
+        # complex, so that products with the complex state need no cast buffer
+        self._minus_speeds = (-speeds).astype(complex)
+        # upwind1 takes backward differences where c >= 0, forward ones elsewhere
+        self._backward = speeds >= 0.0
+        self._edge_targets, self._edge_sources, self._edge_weights = _edge_rows(
+            n, self.periodic
         )
-        self._sigma = {}
-        for name, c in (("plus", generator.c_plus), ("minus", generator.c_minus)):
-            total = np.zeros(generator.window.n)
-            if not self.periodic and solver.boundary == "sponge":
+        self._sigma = None
+        if not self.periodic:
+            sigma_left, sigma_right = _sponge_sigma(
+                generator.window, generator.max_speed
+            )
+            self._sigma = np.zeros((2, n))
+            for sigma, c in zip(self._sigma, speeds):
                 # damp only where this component's characteristics exit
                 if c[0] < 0.0:
-                    total = total + sigma_left
+                    sigma += sigma_left
                 if c[-1] > 0.0:
-                    total = total + sigma_right
-            self._sigma[name] = total
+                    sigma += sigma_right
+        # exp(-dt sigma) per step size: a run uses two, the CFL step and
+        # the shortened last step
+        self._decay = {}
+        self._k, self._stage, self._acc = (
+            np.empty((2, n), dtype=complex) for _ in range(3)
+        )
+        self._scratch = np.empty((2, n + 1), dtype=complex)
 
-    def _rhs(self, values: np.ndarray, speeds: np.ndarray) -> np.ndarray:
-        if self.solver.scheme == "central4":
-            dvdx = _derivative_central4(values, self.dx, self.periodic)
+    def _decay_factor(self, dt: float) -> np.ndarray | None:
+        if self._sigma is None:
+            return None
+        factor = self._decay.get(dt)
+        if factor is None:
+            if len(self._decay) >= 2:
+                self._decay.clear()
+            factor = self._decay[dt] = np.exp(-dt * self._sigma).astype(complex)
+        return factor
+
+    def _rhs(self, pair: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = -c d(pair)/dx, row by row, without allocating.  Terms are
+        combined in the order _derivative_central4 uses, so that the two
+        routes give the same floats."""
+        if self._central:
+            inner = out[:, 2:-2]
+            scratch = self._scratch[:, 2:-3]
+            np.multiply(8.0, pair[:, 3:-1], out=inner)
+            np.subtract(inner, pair[:, 4:], out=inner)
+            np.multiply(8.0, pair[:, 1:-3], out=scratch)
+            np.subtract(inner, scratch, out=inner)
+            np.add(inner, pair[:, :-4], out=inner)
+            terms = pair.take(self._edge_sources)
+            terms *= self._edge_weights
+            edges = terms[0]
+            for term in terms[1:]:
+                edges += term
+            out.put(self._edge_targets, edges)
         else:
-            dvdx = _derivative_upwind1(values, self.dx, speeds, self.periodic)
-        return -speeds * dvdx
+            # diff[:, i] = pair[:, i] - pair[:, i - 1]: the backward difference
+            # at column i and the forward one at column i - 1
+            diff = self._scratch
+            np.subtract(pair[:, 1:], pair[:, :-1], out=diff[:, 1:-1])
+            if self.periodic:
+                diff[:, 0] = diff[:, -1] = pair[:, 0] - pair[:, -1]
+            else:
+                diff[:, 0] = diff[:, 1]
+                diff[:, -1] = diff[:, -2]
+            np.copyto(out, diff[:, 1:])
+            np.copyto(out, diff[:, :-1], where=self._backward)
+        np.multiply(out, self._inverse_spacing, out=out)
+        np.multiply(self._minus_speeds, out, out=out)
+        return out
 
-    def _rk4(self, values: np.ndarray, speeds: np.ndarray, dt: float) -> np.ndarray:
-        k1 = self._rhs(values, speeds)
-        k2 = self._rhs(values + 0.5 * dt * k1, speeds)
-        k3 = self._rhs(values + 0.5 * dt * k2, speeds)
-        k4 = self._rhs(values + dt * k3, speeds)
-        return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    def _damp(self, values: np.ndarray, name: str, dt: float) -> np.ndarray:
-        sigma = self._sigma[name]
-        if np.any(sigma != 0.0):
-            return values * np.exp(-dt * sigma)
-        return values
-
-    def step_eigen(self, plus: np.ndarray, minus: np.ndarray, dt: float):
-        """One step on the decoupled scalars (psi, psi')."""
-        plus = self._damp(self._rk4(plus, self.generator.c_plus, dt), "plus", dt)
-        minus = self._damp(self._rk4(minus, self.generator.c_minus, dt), "minus", dt)
-        return plus, minus
+    def step_eigen(self, pair: np.ndarray, dt: float) -> np.ndarray:
+        """One RK4 step of size dt, then the sponge decay, on the (2, N)
+        complex pair (psi, psi'); pair is overwritten and returned."""
+        k, stage, acc = self._k, self._stage, self._acc
+        self._rhs(pair, k)
+        np.copyto(acc, k)
+        for fraction, weight in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
+            np.multiply(k, fraction * dt, out=stage)
+            np.add(pair, stage, out=stage)
+            self._rhs(stage, k)
+            # the stage input is spent: reuse it for weight * k
+            np.multiply(k, weight, out=stage)
+            np.add(acc, stage, out=acc)
+        # pair + dt/6 (k1 + 2 k2 + 2 k3 + k4)
+        np.multiply(acc, dt / 6.0, out=acc)
+        np.add(pair, acc, out=pair)
+        factor = self._decay_factor(dt)
+        if factor is not None:
+            np.multiply(pair, factor, out=pair)
+        return pair
 
     def step_coupled(self, even: np.ndarray, odd: np.ndarray, dt: float):
         """One step on the raw two-component system, without using the
@@ -377,8 +474,11 @@ class TransportStepper:
         even = even + (dt / 6.0) * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
         odd = odd + (dt / 6.0) * (k1o + 2.0 * k2o + 2.0 * k3o + k4o)
         # sponge acts on the transported scalars; convert, damp, convert back
-        plus = self._damp(even + odd, "plus", dt)
-        minus = self._damp(even - odd, "minus", dt)
+        pair = _eigen_pair(even, odd)
+        factor = self._decay_factor(dt)
+        if factor is not None:
+            pair *= factor
+        plus, minus = pair
         return 0.5 * (plus + minus), 0.5 * (plus - minus)
 
 
@@ -394,12 +494,10 @@ def step(
     eventually trip the instability detector.
     """
     stepper = TransportStepper(generator, solver)
-    plus, minus = stepper.step_eigen(psi.even + psi.odd, psi.even - psi.odd, dt)
-    if not (np.all(np.isfinite(plus)) and np.all(np.isfinite(minus))):
+    pair = stepper.step_eigen(_eigen_pair(psi.even, psi.odd), dt)
+    if not np.isfinite(pair).all():
         raise InstabilityError(1)
-    return EnlargedSpinorField(
-        grid=psi.grid, even=0.5 * (plus + minus), odd=0.5 * (plus - minus)
-    )
+    return _assemble(psi.grid, pair)
 
 
 @dataclass(frozen=True)
@@ -424,27 +522,39 @@ class EvolutionResult:
     report: list
 
 
-def _report_row(t: float, state: EnlargedSpinorField) -> ReportRow:
+def _report_row(t: float, state: EnlargedSpinorField, pair: np.ndarray) -> ReportRow:
+    """Observables of one snapshot.  The frame norms are taken from the
+    transported rows (psi, psi') of `pair`: as differences of
+    two-component forms they would cancel once one frame's field dwarfs
+    the other's.  Centers and correlations stay Pauli-block forms."""
     dx = state.grid.dx
-    ident = identity_observable(state.grid)
     pos = position_observable(state.grid)
-    norm_in_sq = expectation_inertial(state, ident).real
-    norm_rin_sq = expectation_rindler(state, ident).real
-    x_in = expectation_inertial(state, pos).real / norm_in_sq if norm_in_sq > 0 else None
-    x_rin = (
-        expectation_rindler(state, pos).real / norm_rin_sq if norm_rin_sq > 0 else None
-    )
-    return ReportRow(
-        t=t,
-        norm_even=field_norm(state.even, dx),
-        norm_odd=field_norm(state.odd, dx),
-        norm_inertial=math.sqrt(max(norm_in_sq, 0.0)),
-        norm_rindler=math.sqrt(max(norm_rin_sq, 0.0)),
-        x_inertial=x_in,
-        x_rindler=x_rin,
-        corr_identity=correlation(state, ident),
-        corr_position=correlation(state, pos),
-    )
+    # overflow shows up as non-finite observables, which evolve rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_in = field_norm(pair[0], dx)
+        norm_rin = field_norm(pair[1], dx)
+        x_in = (
+            expectation_inertial(state, pos).real / norm_in**2 if norm_in > 0 else None
+        )
+        x_rin = (
+            expectation_rindler(state, pos).real / norm_rin**2 if norm_rin > 0 else None
+        )
+        return ReportRow(
+            t=t,
+            norm_even=field_norm(state.even, dx),
+            norm_odd=field_norm(state.odd, dx),
+            norm_inertial=norm_in,
+            norm_rindler=norm_rin,
+            x_inertial=x_in,
+            x_rindler=x_rin,
+            corr_identity=correlation(state, identity_observable(state.grid)),
+            corr_position=correlation(state, pos),
+        )
+
+
+def _is_finite(row: ReportRow) -> bool:
+    values = (getattr(row, f.name) for f in fields(row))
+    return all(cmath.isfinite(v) for v in values if v is not None)
 
 
 def evolve(
@@ -458,7 +568,10 @@ def evolve(
 
     Snapshots are taken every `solver.snapshot_stride` steps, always
     including t = 0 and the final time.  The total time is covered by
-    uniform CFL-limited steps with a single shortened final step.
+    uniform CFL-limited steps with a single shortened final step.  The
+    stepper advances one (psi, psi') array in place; each snapshot is a
+    new (even, odd) state assembled from it.  Non-finite fields or
+    observables raise InstabilityError.
     """
     generator = build_generator(window, mode=mode, delta=delta)
     packet.check_window(window)
@@ -468,31 +581,33 @@ def evolve(
 
     psi0 = ScalarField(grid=grid, values=packet.evaluate(x))
     state0 = embed_initial(psi0)
-    plus = state0.even + state0.odd
-    minus = state0.even - state0.odd
+    pair = _eigen_pair(state0.even, state0.odd)
 
     dt = cfl_dt(window, generator, solver.cfl)
     t_final = solver.t_final
     n_steps = 0 if t_final == 0.0 else int(math.ceil(t_final / dt - 1e-12))
 
-    def assemble(p, m):
-        return EnlargedSpinorField(grid=grid, even=0.5 * (p + m), odd=0.5 * (p - m))
+    times, snapshots, report = [], [], []
 
-    times = [0.0]
-    snapshots = [state0]
-    report = [_report_row(0.0, state0)]
+    def record(k: int, t: float, state: EnlargedSpinorField):
+        row = _report_row(t, state, pair)
+        if not _is_finite(row):
+            raise InstabilityError(
+                k, f"non-finite observables at step {k} (t = {t:.6g})"
+            )
+        times.append(t)
+        snapshots.append(state)
+        report.append(row)
 
+    record(0, 0.0, state0)
     t = 0.0
     for k in range(1, n_steps + 1):
         h = min(dt, t_final - t)
-        plus, minus = stepper.step_eigen(plus, minus, h)
+        stepper.step_eigen(pair, h)
         t += h
-        if not (np.all(np.isfinite(plus)) and np.all(np.isfinite(minus))):
+        if not np.isfinite(pair).all():
             raise InstabilityError(k)
         if k % solver.snapshot_stride == 0 or k == n_steps:
-            state = assemble(plus, minus)
-            times.append(t)
-            snapshots.append(state)
-            report.append(_report_row(t, state))
+            record(k, t, _assemble(grid, pair))
 
     return EvolutionResult(times=times, snapshots=snapshots, report=report)

@@ -1,14 +1,19 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from rindlersim.coords import Acceleration
-from rindlersim.embedding import EnlargedSpinorField, Grid, extract_inertial
+from rindlersim.embedding import EnlargedSpinorField, Grid, extract_inertial, field_norm
 from rindlersim.errors import ConfigError, InstabilityError
 from rindlersim.evolution import (
     GridWindow,
     SolverConfig,
     TransportStepper,
     WavepacketSpec,
+    _derivative_central4,
+    _report_row,
     build_generator,
     cfl_dt,
     evolve,
@@ -159,26 +164,79 @@ def test_uniform_speed_advects_both_components_identically():
     assert np.max(np.abs(out.odd)) <= 1e-9 * np.max(np.abs(out.even))
 
 
-def test_decoupled_and_coupled_paths_agree():
-    gen = build_generator(WINDOW)
-    solver = SolverConfig()
-    stepper = TransportStepper(gen, solver)
+def _stepper(window, solver):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the periodic-boundary warning
+        return TransportStepper(build_generator(window), solver)
+
+
+@pytest.mark.parametrize(
+    "x_min, x_max, x0, boundary",
+    [
+        (4.5, 12.0, 7.5, "sponge"),
+        (1.5, 3.0, 2.2, "sponge"),  # left of u*, where c_minus > 1
+        (4.5, 12.0, 7.5, "periodic"),
+    ],
+    ids=["right-sponge", "left-sponge", "right-periodic"],
+)
+def test_decoupled_and_coupled_paths_agree(x_min, x_max, x0, boundary):
+    window = GridWindow(x_min=x_min, x_max=x_max, n=512, a=A1)
+    stepper = _stepper(window, SolverConfig(boundary=boundary))
+    # packet width and offset scale with the window: 0.3 on [4.5, 12]
+    width = 0.04 * (x_max - x_min)
+    packet = WavepacketSpec(x0=x0, sigma=width)
     rng = np.random.default_rng(41)
-    grid = WINDOW.grid()
-    x = grid.points()
-    even = PACKET.evaluate(x) * (1.0 + 0.1 * rng.standard_normal(grid.n))
-    odd = 0.5 * PACKET.evaluate(x - 0.3)
-    dt = cfl_dt(WINDOW, gen, 0.5)
+    x = window.grid().points()
+    even = packet.evaluate(x) * (1.0 + 0.1 * rng.standard_normal(window.n))
+    odd = 0.5 * packet.evaluate(x - width)
+    dt = cfl_dt(window, stepper.generator, 0.5)
     pe, po = even.copy(), odd.copy()
-    plus, minus = even + odd, even - odd
+    pair = np.stack((even + odd, even - odd))
     for _ in range(50):
         pe, po = stepper.step_coupled(pe, po, dt)
-        plus, minus = stepper.step_eigen(plus, minus, dt)
-    again_even = 0.5 * (plus + minus)
-    again_odd = 0.5 * (plus - minus)
+        assert stepper.step_eigen(pair, dt) is pair
+    again_even = 0.5 * (pair[0] + pair[1])
+    again_odd = 0.5 * (pair[0] - pair[1])
     scale = np.max(np.abs(pe))
     assert np.max(np.abs(pe - again_even)) <= 1e-12 * scale
     assert np.max(np.abs(po - again_odd)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("boundary", ["sponge", "periodic"])
+def test_in_place_derivative_matches_central4_bit_for_bit(boundary):
+    # same terms in the same order as the allocating reference, so the
+    # fast stepper reproduces its floats exactly
+    window = GridWindow(x_min=4.5, x_max=12.0, n=256, a=A1)
+    stepper = _stepper(window, SolverConfig(boundary=boundary))
+    rng = np.random.default_rng(7)
+    pair = rng.standard_normal((2, window.n)) + 1j * rng.standard_normal((2, window.n))
+    out = stepper._rhs(pair, np.empty_like(pair))
+    gen = stepper.generator
+    for row, speeds, values in zip(out, (gen.c_plus, gen.c_minus), pair):
+        periodic = boundary == "periodic"
+        reference = -speeds * _derivative_central4(values, window.dx, periodic)
+        assert row.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize(
+    "scheme, boundary",
+    [("central4", "sponge"), ("upwind1", "sponge"), ("central4", "periodic")],
+)
+def test_step_eigen_allocates_no_grid_sized_array(scheme, boundary):
+    window = GridWindow(x_min=4.5, x_max=12.0, n=4096, a=A1)
+    stepper = _stepper(window, SolverConfig(scheme=scheme, boundary=boundary))
+    values = PACKET.evaluate(window.grid().points())
+    pair = np.stack((values, values))
+    dt = cfl_dt(window, stepper.generator, 0.5)
+    stepper.step_eigen(pair, dt)  # warm-up: caches exp(-dt sigma)
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            stepper.step_eigen(pair, dt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < window.n * np.dtype(complex).itemsize  # one complex row
 
 
 def test_evolve_report_structure_and_t0():
@@ -193,6 +251,40 @@ def test_evolve_report_structure_and_t0():
     assert row0.x_rindler == pytest.approx(PACKET.x0, abs=1e-6)
     assert row0.norm_odd == 0.0
     assert row0.norm_even == pytest.approx(row0.norm_inertial, rel=1e-12)
+
+
+def test_evolve_snapshots_are_copies_of_the_stepped_state():
+    solver = SolverConfig(t_final=0.05, cfl=0.5, snapshot_stride=1)
+    result = evolve(PACKET, WINDOW, solver)
+    x = WINDOW.grid().points()
+    assert len(result.snapshots) > 3
+    assert np.array_equal(result.snapshots[0].even, PACKET.evaluate(x))
+    assert np.all(result.snapshots[0].odd == 0.0)
+    assert not np.array_equal(result.snapshots[-2].even, result.snapshots[-1].even)
+
+
+def test_report_norms_do_not_cancel_across_frames():
+    # psi dwarfs psi' by 15 orders: a difference of two-component forms
+    # would lose ||psi'|| entirely
+    grid = WINDOW.grid()
+    x = grid.points()
+    psi = 1e6 * PACKET.evaluate(x)
+    psi_prime = 1e-9 * WavepacketSpec(x0=9.0, sigma=0.4).evaluate(x)
+    pair = np.stack((psi, psi_prime))
+    state = EnlargedSpinorField(
+        grid=grid, even=0.5 * (psi + psi_prime), odd=0.5 * (psi - psi_prime)
+    )
+    row = _report_row(0.0, state, pair)
+    expected = field_norm(psi_prime, grid.dx)
+    assert row.norm_rindler == pytest.approx(expected, rel=1e-12)
+    assert row.norm_inertial == pytest.approx(field_norm(psi, grid.dx), rel=1e-12)
+
+
+def test_overflowing_observables_raise_instability():
+    packet = WavepacketSpec(x0=7.5, sigma=0.3, amplitude=1e200)
+    with pytest.raises(InstabilityError) as info:
+        evolve(packet, WINDOW, SolverConfig(t_final=0.1))
+    assert info.value.step_index == 0
 
 
 def test_evolve_t_zero_returns_initial_state_only():
@@ -262,12 +354,12 @@ def test_periodic_boundary_warns_and_preserves_norm():
     x = grid.points()
     packet = WavepacketSpec(x0=8.0, sigma=0.4)
     plus = packet.evaluate(x)
-    minus = plus.copy()
+    pair = np.stack((plus, plus))
     dt = cfl_dt(window, gen, 0.5)
     norm0 = np.sqrt(np.sum(np.abs(plus) ** 2))
     for _ in range(200):
-        plus, minus = stepper.step_eigen(plus, minus, dt)
-    assert np.sqrt(np.sum(np.abs(plus) ** 2)) == pytest.approx(norm0, rel=1e-8)
+        stepper.step_eigen(pair, dt)
+    assert np.sqrt(np.sum(np.abs(pair[0]) ** 2)) == pytest.approx(norm0, rel=1e-8)
 
 
 def test_sponge_absorbs_outgoing_packet():

@@ -326,6 +326,16 @@ def test_cli_instability_exit_code(tmp_path, monkeypatch):
     assert main(["evolve", "--config", str(cfg)]) == 3
 
 
+def test_cli_overflowing_observables_exit_3(tmp_path):
+    # finite fields whose norms overflow must not give a report with inf
+    raw = standard_config(tmp_path / "out", n=128, t_final=0.05)
+    raw["packet"]["amplitude"] = 1e200
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["evolve", "--config", str(cfg)]) == 3
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_cli_out_override(tmp_path):
     cfg = standard_config(tmp_path / "ignored", n=128, t_final=0.0)
     cfg_path = tmp_path / "c.json"
