@@ -61,12 +61,10 @@ from .evolution import (
     build_generator,
     cfl_dt,
     evolve,
-    step,
 )
 from .hamiltonian import (
     CoefficientPoint,
     SingularPoint,
-    UltraParams,
     coefficients,
     coefficients_via_inversion,
     denominator,

@@ -1,8 +1,9 @@
 """Command-line interface with the subcommands coeffs, singularity,
 evolve and limits.
 
-Exit codes: 0 on success, 2 for configuration or validation problems,
-3 for numerical instability during a run.
+Exit codes: 0 on success, 2 for configuration or validation problems
+and for files that cannot be read or written, 3 for numerical
+instability during a run.
 """
 
 import argparse
@@ -100,7 +101,7 @@ def main(argv=None) -> int:
         elif args.command == "limits":
             cmd_limits(args.regime, _parse_values(args.values), args.out)
             print(f"wrote {args.out}")
-    except _VALIDATION_ERRORS as exc:
+    except (*_VALIDATION_ERRORS, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InstabilityError as exc:

@@ -67,7 +67,6 @@ __all__ = [
     "build_generator",
     "cfl_dt",
     "TransportStepper",
-    "step",
     "evolve",
 ]
 
@@ -480,24 +479,6 @@ class TransportStepper:
             pair *= factor
         plus, minus = pair
         return 0.5 * (plus + minus), 0.5 * (plus - minus)
-
-
-def step(
-    psi: EnlargedSpinorField,
-    generator: Generator,
-    solver: SolverConfig,
-    dt: float,
-) -> EnlargedSpinorField:
-    """Advance a two-component state by one RK4 step of size dt.
-
-    dt should not exceed cfl_dt for the configured cfl; larger steps
-    eventually trip the instability detector.
-    """
-    stepper = TransportStepper(generator, solver)
-    pair = stepper.step_eigen(_eigen_pair(psi.even, psi.odd), dt)
-    if not np.isfinite(pair).all():
-        raise InstabilityError(1)
-    return _assemble(psi.grid, pair)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ from .errors import CoordinateDomainError, SingularityError
 __all__ = [
     "CoefficientPoint",
     "SingularPoint",
-    "UltraParams",
     "SINGULAR_EPS",
     "COEFFICIENT_CAP",
     "ULTRA_SINGULAR_MARGIN",
@@ -52,7 +51,6 @@ __all__ = [
     "galileo_coefficients",
     "ultra_f_delta",
     "ultra_f_delta_coarse",
-    "ultra_params",
     "ultra_coefficients",
     "bisect",
 ]
@@ -84,14 +82,6 @@ class SingularPoint:
     u_star: float
     x_star: float
     v_star: float
-
-
-@dataclass(frozen=True)
-class UltraParams:
-    """Near-light-speed expansion parameter and its coefficient."""
-
-    delta: float
-    f_delta: float
 
 
 def hyperbolic_factors(u):
@@ -243,10 +233,6 @@ def ultra_f_delta(delta: float, margin: float = ULTRA_SINGULAR_MARGIN) -> float:
 def ultra_f_delta_coarse(delta: float) -> float:
     """Leading-order coefficient without the log correction, -delta/2."""
     return -delta / 2.0
-
-
-def ultra_params(delta: float, margin: float = ULTRA_SINGULAR_MARGIN) -> UltraParams:
-    return UltraParams(delta=delta, f_delta=ultra_f_delta(delta, margin=margin))
 
 
 def ultra_coefficients(

@@ -6,6 +6,11 @@ decimals, shortest round-trip float formatting, LF line endings and
 UTF-8; report JSON uses sorted keys and no timestamps, so identical
 configurations produce byte-identical outputs.  Config files are JSON
 with a fixed field set; unknown fields are rejected outright.
+
+Snapshot CSVs are streamed row by row and dealt round-robin over one
+writer per CPU in the process's affinity set: the calling process
+writes the first share and forked children the others.  Which process
+writes a file does not change its bytes.
 """
 
 import json
@@ -17,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import Acceleration
-from .embedding import Grid
 from .errors import ConfigError
 from .evolution import (
     EvolutionResult,
@@ -127,14 +131,18 @@ def _as_int(value, where: str) -> int:
 
 def load_config(source) -> SimulationConfig:
     """Build a validated SimulationConfig from a dict, JSON text path or
-    file object.  Fails closed: unknown fields are errors."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    elif hasattr(source, "read"):
-        raw = json.load(source)
-    else:
-        raw = source
+    file object.  Fails closed: unknown fields and text that is not
+    JSON are errors."""
+    try:
+        if isinstance(source, (str, os.PathLike)):
+            with open(source, "r", encoding="utf-8") as handle:
+                raw = json.load(handle)
+        elif hasattr(source, "read"):
+            raw = json.load(source)
+        else:
+            raw = source
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be a JSON object")
 
@@ -239,6 +247,75 @@ def _write_csv(path, header: str, rows):
             handle.write(",".join(row) + "\n")
 
 
+def _write_snapshot(path, x, state):
+    """One snapshot CSV: x and the real and imaginary parts of psi_e,
+    psi_o, psi = psi_e + psi_o and psi' = psi_e - psi_o, row by row."""
+    even, odd = state.even, state.odd
+    table = np.empty((x.size, 9))
+    table[:, 0] = x
+    # a C-ordered (N, 4) complex array viewed as floats is (N, 8): Re, Im, ...
+    table[:, 1:] = np.stack((even, odd, even + odd, even - odd), axis=1).view(float)
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(SNAPSHOT_HEADER + "\n")
+        handle.writelines(",".join(map(repr, row)) + "\n" for row in table.tolist())
+
+
+def _writer_count(n_files: int) -> int:
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(n_files, len(os.sched_getaffinity(0))))
+
+
+def _child_write(paths, x, states):
+    """Body of a forked writer.  It always ends the process with
+    os._exit: exit code 0 once every file is written, else 1 after the
+    traceback.  So it never flushes inherited buffers, runs no atexit
+    handler and never unwinds into the frames it was forked from."""
+    code = 1
+    try:
+        try:
+            for path, state in zip(paths, states):
+                _write_snapshot(path, x, state)
+            code = 0
+        except BaseException:
+            import sys
+            import traceback
+
+            traceback.print_exc()
+            sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
+def _write_snapshots(paths, x, states):
+    """Write snapshot CSVs, dealt round-robin over one writer per CPU in
+    the process's affinity set.  The caller writes the first share; each
+    other share goes to a forked child, which ends with os._exit and so
+    never returns into the caller's frames.  Every child is reaped before
+    this returns or raises; a child that fails raises OSError here."""
+    import sys
+
+    workers = _writer_count(len(paths))
+    children = []
+    if workers > 1:
+        # nothing buffered before the fork may be written twice
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    try:
+        for share in range(1, workers):
+            pid = os.fork()
+            if pid == 0:
+                _child_write(paths[share::workers], x, states[share::workers])
+            children.append(pid)
+        for path, state in zip(paths[::workers], states[::workers]):
+            _write_snapshot(path, x, state)
+    finally:
+        failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in children)
+    if failed:
+        raise OSError(f"{failed} of {workers} snapshot writers failed")
+
+
 def cmd_coeffs(
     a: Acceleration, u_min: float, u_max: float, samples: int, out_path
 ) -> list:
@@ -328,29 +405,12 @@ def cmd_evolve(config: SimulationConfig, out_dir=None) -> dict:
         delta=config.delta,
     )
 
-    grid = config.window.grid()
-    x = grid.points()
-    snapshot_paths = []
-    for index, state in enumerate(result.snapshots):
-        inertial = state.even + state.odd
-        rindler = state.even - state.odd
-        rows = [
-            [
-                _fmt(x[i]),
-                _fmt(state.even[i].real),
-                _fmt(state.even[i].imag),
-                _fmt(state.odd[i].real),
-                _fmt(state.odd[i].imag),
-                _fmt(inertial[i].real),
-                _fmt(inertial[i].imag),
-                _fmt(rindler[i].real),
-                _fmt(rindler[i].imag),
-            ]
-            for i in range(grid.n)
-        ]
-        path = os.path.join(target, f"snapshot_{index:06d}.csv")
-        _write_csv(path, SNAPSHOT_HEADER, rows)
-        snapshot_paths.append(path)
+    x = config.window.grid().points()
+    snapshot_paths = [
+        os.path.join(target, f"snapshot_{index:06d}.csv")
+        for index in range(len(result.snapshots))
+    ]
+    _write_snapshots(snapshot_paths, x, result.snapshots)
 
     report_path = os.path.join(target, "report.json")
     with open(report_path, "w", encoding="utf-8", newline="\n") as handle:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rindlersim.coords import Acceleration
-from rindlersim.embedding import EnlargedSpinorField, Grid, extract_inertial, field_norm
+from rindlersim.embedding import EnlargedSpinorField, Grid, field_norm
 from rindlersim.errors import ConfigError, InstabilityError
 from rindlersim.evolution import (
     GridWindow,
@@ -17,7 +17,6 @@ from rindlersim.evolution import (
     build_generator,
     cfl_dt,
     evolve,
-    step,
 )
 
 A1 = Acceleration(1.0)
@@ -110,58 +109,45 @@ def test_cfl_dt_uses_fast_component_on_left_branch():
 def test_single_step_translates_packet():
     gen = build_generator(WINDOW)
     solver = SolverConfig(t_final=1.0)
-    grid = WINDOW.grid()
-    x = grid.points()
-    state = EnlargedSpinorField(
-        grid=grid, even=PACKET.evaluate(x), odd=np.zeros(grid.n, dtype=complex)
-    )
+    x = WINDOW.grid().points()
+    # (psi, psi') of the state (even, odd) = (packet, 0)
+    pair = np.stack((PACKET.evaluate(x), PACKET.evaluate(x)))
     dt = cfl_dt(WINDOW, gen, 0.5)
-    advanced = step(state, gen, solver, dt)
+    TransportStepper(gen, solver).step_eigen(pair, dt)
     shifted = PACKET.evaluate(x - dt)
-    err = np.max(np.abs(extract_inertial(advanced).values - shifted))
+    err = np.max(np.abs(pair[0] - shifted))
     # single-step truncation ~ dt * dx^4/30 * max|psi^(5)| ~ 3e-8 here
     assert err <= 1e-7
     # and refinement shrinks it at 4th order in space (x2 in dt, x2 in dx)
     fine = GridWindow(x_min=4.5, x_max=12.0, n=1023, a=A1)
     gen_f = build_generator(fine)
     xf = fine.grid().points()
-    state_f = EnlargedSpinorField(
-        grid=fine.grid(), even=PACKET.evaluate(xf), odd=np.zeros(fine.n, dtype=complex)
-    )
+    pair_f = np.stack((PACKET.evaluate(xf), PACKET.evaluate(xf)))
     dt_f = cfl_dt(fine, gen_f, 0.5)
-    advanced_f = step(state_f, gen_f, solver, dt_f)
-    err_f = np.max(np.abs(extract_inertial(advanced_f).values - PACKET.evaluate(xf - dt_f)))
+    TransportStepper(gen_f, solver).step_eigen(pair_f, dt_f)
+    err_f = np.max(np.abs(pair_f[0] - PACKET.evaluate(xf - dt_f)))
     assert err_f <= err / 8.0
 
 
 def test_step_preserves_zero_field():
     gen = build_generator(WINDOW)
-    solver = SolverConfig()
-    grid = WINDOW.grid()
-    zero = EnlargedSpinorField(
-        grid=grid,
-        even=np.zeros(grid.n, dtype=complex),
-        odd=np.zeros(grid.n, dtype=complex),
-    )
-    out = step(zero, gen, solver, cfl_dt(WINDOW, gen, 0.5))
-    assert np.all(out.even == 0.0)
-    assert np.all(out.odd == 0.0)
+    pair = np.zeros((2, WINDOW.n), dtype=complex)
+    TransportStepper(gen, SolverConfig()).step_eigen(pair, cfl_dt(WINDOW, gen, 0.5))
+    assert np.all(pair == 0.0)
 
 
 def test_uniform_speed_advects_both_components_identically():
     # with position-independent coefficients both components move together
     gen = build_generator(WINDOW, mode="ultra", delta=1e-10)
-    solver = SolverConfig()
-    grid = WINDOW.grid()
-    x = grid.points()
-    values = PACKET.evaluate(x)
-    state = EnlargedSpinorField(grid=grid, even=values, odd=np.zeros_like(values))
+    stepper = TransportStepper(gen, SolverConfig())
+    values = PACKET.evaluate(WINDOW.grid().points())
+    pair = np.stack((values, values))
     dt = cfl_dt(WINDOW, gen, 0.5)
-    out = state
     for _ in range(10):
-        out = step(out, gen, solver, dt)
-    # odd stays zero iff psi and psi' evolved identically
-    assert np.max(np.abs(out.odd)) <= 1e-9 * np.max(np.abs(out.even))
+        stepper.step_eigen(pair, dt)
+    # odd = (psi - psi') / 2 stays zero iff psi and psi' evolved identically
+    even, odd = 0.5 * (pair[0] + pair[1]), 0.5 * (pair[0] - pair[1])
+    assert np.max(np.abs(odd)) <= 1e-9 * np.max(np.abs(even))
 
 
 def _stepper(window, solver):
@@ -331,18 +317,18 @@ def test_marginal_packet_warns():
         evolve(WavepacketSpec(x0=6.0, sigma=0.5), WINDOW, solver)
 
 
-def test_instability_detected_for_oversized_steps():
+def test_instability_detected_for_oversized_steps(monkeypatch):
+    import rindlersim.evolution as evolution
+
+    # steps 50 times the cfl = 1 limit, which no SolverConfig allows
+    def huge_dt(window, generator, cfl):
+        return 50.0 * window.dx / generator.max_speed
+
+    monkeypatch.setattr(evolution, "cfl_dt", huge_dt)
     gen = build_generator(WINDOW)
-    solver = SolverConfig()
-    grid = WINDOW.grid()
-    x = grid.points()
-    state = EnlargedSpinorField(
-        grid=grid, even=PACKET.evaluate(x), odd=np.zeros(grid.n, dtype=complex)
-    )
-    huge_dt = 50.0 * cfl_dt(WINDOW, gen, 1.0)
+    solver = SolverConfig(t_final=400 * huge_dt(WINDOW, gen, 1.0), snapshot_stride=10**6)
     with pytest.raises(InstabilityError), np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(400):
-            state = step(state, gen, solver, huge_dt)
+        evolve(PACKET, WINDOW, solver)
 
 
 def test_periodic_boundary_warns_and_preserves_norm():

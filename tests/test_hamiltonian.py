@@ -185,14 +185,6 @@ def test_ultra_f_delta_values():
     assert ultra_f_delta_coarse(2e-4) == -1e-4
 
 
-def test_ultra_params_carrier():
-    from rindlersim.hamiltonian import ultra_params
-
-    params = ultra_params(0.01)
-    assert params.delta == 0.01
-    assert params.f_delta == pytest.approx(-0.020404554013766268, rel=1e-13)
-
-
 def test_ultra_coefficients_limit_is_trivial():
     p = ultra_coefficients(1e-10)
     assert p.f == pytest.approx(1.0, abs=1e-9)

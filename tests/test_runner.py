@@ -1,14 +1,19 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from rindlersim.cli import main
 from rindlersim.coords import Acceleration
+from rindlersim.embedding import EnlargedSpinorField, Grid
 from rindlersim.errors import ConfigError
 from rindlersim.runner import (
     SNAPSHOT_HEADER,
+    _write_snapshot,
+    _write_snapshots,
+    _writer_count,
     cmd_coeffs,
     cmd_evolve,
     cmd_limits,
@@ -93,6 +98,13 @@ def test_mode_parsing(tmp_path):
     raw["mode"] = "warp"
     with pytest.raises(ConfigError):
         load_config(raw)
+
+
+def test_malformed_json_is_a_config_error(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text('{"a": 1.0,')
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(cfg_path)
 
 
 def test_scheme_aliases(tmp_path):
@@ -225,6 +237,127 @@ def test_cmd_evolve_galileo_and_ultra_modes(tmp_path):
     assert final.x_rindler == pytest.approx(7.5 + 0.1 * (1 - 2 * 0.020404554), abs=1e-3)
 
 
+# ------------------------------------------------------ snapshot writer
+
+needs_fork = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+    reason="forked snapshot writers need os.fork and os.sched_getaffinity",
+)
+
+
+def reference_snapshot(x, state) -> bytes:
+    """The snapshot CSV formatted value by value with repr(float(v))."""
+    even, odd = state.even, state.odd
+    lines = [SNAPSHOT_HEADER]
+    for i in range(len(x)):
+        values = [x[i]]
+        for z in (even[i], odd[i], even[i] + odd[i], even[i] - odd[i]):
+            values += [z.real, z.imag]
+        lines.append(",".join(repr(float(v)) for v in values))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def awkward_state():
+    values = np.array([-0.0, 5e-324, 1e-300, 0.1, 1e15, 1e16, -1.5e-07, 1.0])
+    grid = Grid(x_min=4.5, x_max=12.0, n=values.size)
+    state = EnlargedSpinorField(
+        grid=grid, even=values + 1j * values[::-1], odd=values[::-1] - 1j * values
+    )
+    return grid.points(), state
+
+
+def test_snapshot_bytes_match_repr_reference(tmp_path):
+    x, state = awkward_state()
+    path = tmp_path / "awkward.csv"
+    _write_snapshot(path, x, state)
+    assert path.read_bytes() == reference_snapshot(x, state)
+    assert b"-0.0," in path.read_bytes() and b"5e-324" in path.read_bytes()
+
+
+def test_evolve_snapshots_match_repr_reference(tmp_path):
+    raw = standard_config(tmp_path / "out", n=64, t_final=0.5)
+    raw["time"]["snapshot_stride"] = 3
+    config = load_config(raw)
+    artifacts = cmd_evolve(config)
+    x = config.window.grid().points()
+    snapshots = artifacts["result"].snapshots
+    assert len(snapshots) > 3
+    for path, state in zip(artifacts["snapshot_paths"], snapshots, strict=True):
+        with open(path, "rb") as handle:
+            assert handle.read() == reference_snapshot(x, state)
+
+
+@needs_fork
+def test_writer_count_does_not_change_bytes(tmp_path, monkeypatch):
+    x, state = awkward_state()
+    states = [state] + [
+        EnlargedSpinorField(grid=state.grid, even=state.even * k, odd=state.odd / k)
+        for k in (3.0, 7.0, 11.0, 13.0)
+    ]
+    outputs = {}
+    for cpus in ({0}, {0, 1, 2}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        assert _writer_count(len(states)) == len(cpus)
+        out = tmp_path / f"cpus{len(cpus)}"
+        out.mkdir()
+        paths = [out / f"snapshot_{i:06d}.csv" for i in range(len(states))]
+        _write_snapshots(paths, x, states)
+        outputs[len(cpus)] = [path.read_bytes() for path in paths]
+    assert outputs[1] == outputs[3]
+    assert outputs[1] == [reference_snapshot(x, s) for s in states]
+
+
+def test_writer_without_fork_stays_in_process(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked without os.sched_getaffinity")
+
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    assert _writer_count(4) == 1
+    x, state = awkward_state()
+    paths = [tmp_path / f"s{i}.csv" for i in range(4)]
+    _write_snapshots(paths, x, [state] * 4)
+    assert all(path.read_bytes() == reference_snapshot(x, state) for path in paths)
+
+
+@needs_fork
+def test_failed_child_share_raises(tmp_path, monkeypatch, capfd):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    x, state = awkward_state()
+    blocked = tmp_path / "blocked"
+    blocked.mkdir()
+    # shares are dealt round-robin: the child writes the second path
+    with pytest.raises(OSError, match="1 of 2 snapshot writers failed"):
+        _write_snapshots([tmp_path / "ok.csv", blocked], x, [state, state])
+    assert (tmp_path / "ok.csv").read_bytes() == reference_snapshot(x, state)
+    assert "IsADirectoryError" in capfd.readouterr().err
+
+
+@needs_fork
+def test_failed_caller_share_still_reaps_children(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    x, state = awkward_state()
+    blocked = tmp_path / "blocked"
+    blocked.mkdir()
+    paths = [blocked, tmp_path / "b.csv", tmp_path / "c.csv"]
+    with pytest.raises(IsADirectoryError):
+        _write_snapshots(paths, x, [state] * 3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert (tmp_path / "c.csv").read_bytes() == reference_snapshot(x, state)
+
+
+@needs_fork
+def test_only_the_caller_returns_from_the_writer(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    x, state = awkward_state()
+    sentinel = tmp_path / "pids.txt"
+    _write_snapshots([tmp_path / f"s{i}.csv" for i in range(3)], x, [state] * 3)
+    with open(sentinel, "a", encoding="utf-8") as handle:
+        handle.write(f"{os.getpid()}\n")
+    assert sentinel.read_text(encoding="utf-8").split() == [str(os.getpid())]
+
+
 # ---------------------------------------------------------------- limits
 
 
@@ -344,3 +477,31 @@ def test_cli_out_override(tmp_path):
     assert main(["evolve", "--config", str(cfg_path), "--out", str(target)]) == 0
     assert (target / "report.json").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+def test_cli_missing_config_exits_2(tmp_path, capsys):
+    assert main(["evolve", "--config", str(tmp_path / "absent.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_malformed_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"a": 1.0, "window": ')
+    assert main(["evolve", "--config", str(cfg)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evolve", "coeffs", "limits"])
+def test_cli_out_under_a_regular_file_exits_2(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(standard_config(tmp_path / "out", n=128, t_final=0.0)))
+    argv = {
+        "evolve": ["evolve", "--config", str(cfg), "--out", str(blocker / "out")],
+        "coeffs": ["coeffs", "--samples", "20", "--out", str(blocker / "c.csv")],
+        "limits": ["limits", "--regime", "galileo", "--values", "0.1",
+                   "--out", str(blocker / "l.csv")],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
