@@ -7,7 +7,8 @@ The package is organized around six pieces:
   coordinates in 1+1 dimensions, plus boost/rapidity conversions.
 - hamiltonian: closed-form generator coefficients f(x), g(x), their
   independent matrix-inversion derivation, the denominator singularity,
-  and the small-velocity / near-light-speed limits.
+  the small-velocity / near-light-speed limits, and the one definition
+  of the coefficient modes (exact, galileo, ultra).
 - embedding: the two-component encoding (even/odd split), frame
   extraction, and the Pauli-block bilinear forms for expectation values
   and cross-frame correlations.

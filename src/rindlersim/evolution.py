@@ -13,10 +13,12 @@ a new array that later steps leave alone.  A coupled two-component
 stepper, with plain allocating RK4, is kept alongside as a
 consistency hook.
 
-The generator is applied in non-symmetrized form, coefficient times
-derivative; it is not Hermitian for variable g, so only the inertial
-component has a conserved norm.  Windows must stay clear of the
-denominator singularity (validated up front).
+evolve(packet, generator, solver) runs on a generator from
+build_generator and never rebuilds it.  The generator is applied in
+non-symmetrized form, coefficient times derivative; it is not Hermitian
+for variable g, so only the inertial component has a conserved norm.
+Windows must stay clear of the denominator singularity (validated up
+front).
 
 Boundary handling: 'sponge' uses one-sided interior stencils at the
 edges plus a cosine-ramp absorbing layer over the outer 10% of the
@@ -47,13 +49,7 @@ from .embedding import (
     position_observable,
 )
 from .errors import ConfigError, InstabilityError
-from .hamiltonian import (
-    COEFFICIENT_CAP,
-    SINGULAR_EPS,
-    coefficient_arrays,
-    find_singularity,
-    ultra_f_delta,
-)
+from .hamiltonian import COEFFICIENT_CAP, coefficient_arrays, find_singularity
 
 __all__ = [
     "DEFAULT_SINGULAR_MARGIN",
@@ -77,7 +73,6 @@ SPONGE_FRACTION = 0.1
 
 _SCHEMES = ("central4", "upwind1")
 _BOUNDARIES = ("sponge", "periodic")
-_MODES = ("exact", "galileo", "ultra")
 
 
 @dataclass(frozen=True)
@@ -159,10 +154,11 @@ class WavepacketSpec:
 
 @dataclass(frozen=True)
 class Generator:
-    """Coefficient fields sampled on the window grid."""
+    """Coefficient fields of one mode sampled on the window grid."""
 
     window: GridWindow
     mode: str
+    delta: float | None
     x: np.ndarray = field(repr=False)
     f: np.ndarray = field(repr=False)
     g: np.ndarray = field(repr=False)
@@ -201,50 +197,31 @@ def build_generator(
     delta: float | None = None,
     margin: float = DEFAULT_SINGULAR_MARGIN,
 ) -> Generator:
-    """Sample the transport coefficients over a validated window.
-
-    mode 'exact' uses the closed forms; 'galileo' substitutes the
-    small-velocity limit f = 1 + v/2, g = -v/2 with the local
-    v(x) = sqrt(1 - 1/u^2); 'ultra' substitutes the constant
-    near-light-speed coefficients for the given delta.
-    """
-    if mode not in _MODES:
-        raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
+    """Sample the coefficients of a mode of hamiltonian.coefficient_arrays
+    over a validated window, which must keep |f| <= COEFFICIENT_CAP and,
+    in 'galileo' mode, |v| <= 0.2 (warning beyond 0.1)."""
     _validate_window(window, margin)
     x = np.linspace(window.x_min, window.x_max, window.n)
-    u = window.a.a * x
-
-    if mode == "exact":
-        f, g, _ = coefficient_arrays(u, eps=SINGULAR_EPS)
-        if np.max(np.abs(f)) > COEFFICIENT_CAP:
-            raise ConfigError(
-                f"|f| exceeds the coefficient cap {COEFFICIENT_CAP} inside the window; "
-                "move the window further from the singularity"
-            )
-    elif mode == "galileo":
-        v = np.sqrt((u - 1.0) * (u + 1.0)) / u
-        if np.max(np.abs(v)) > 0.2:
+    f, g, _ = coefficient_arrays(window.a.a * x, mode, delta)
+    if np.max(np.abs(f)) > COEFFICIENT_CAP:
+        raise ConfigError(
+            f"|f| exceeds the coefficient cap {COEFFICIENT_CAP} inside the window; "
+            "move the window further from the singularity"
+        )
+    if mode == "galileo":
+        v_max = 2.0 * np.max(np.abs(g))  # this mode's g is -v/2
+        if v_max > 0.2:
             raise ConfigError(
                 f"small-velocity mode needs |v| <= 0.2 everywhere; window reaches "
-                f"v = {np.max(np.abs(v)):.4g}"
+                f"v = {v_max:.4g}"
             )
-        if np.max(np.abs(v)) > 0.1:
+        if v_max > 0.1:
             warnings.warn(
                 "small-velocity approximation is marginal beyond |v| = 0.1",
                 stacklevel=2,
             )
-        f = 1.0 + v / 2.0
-        g = -v / 2.0
-    else:
-        if delta is None:
-            raise ConfigError("mode 'ultra' requires a delta parameter")
-        fd = ultra_f_delta(delta)
-        f = np.full(window.n, 1.0 + fd)
-        g = np.full(window.n, -fd)
 
-    return Generator(
-        window=window, mode=mode, x=x, f=f, g=g, c_plus=f + g, c_minus=f - g
-    )
+    return Generator(window, mode, delta, x, f, g, c_plus=f + g, c_minus=f - g)
 
 
 def cfl_dt(window: GridWindow, generator: Generator, cfl: float) -> float:
@@ -539,13 +516,10 @@ def _is_finite(row: ReportRow) -> bool:
 
 
 def evolve(
-    packet: WavepacketSpec,
-    window: GridWindow,
-    solver: SolverConfig,
-    mode: str = "exact",
-    delta: float | None = None,
+    packet: WavepacketSpec, generator: Generator, solver: SolverConfig
 ) -> EvolutionResult:
-    """Run a full evolution and collect snapshots plus observable rows.
+    """Run a full evolution on the generator and collect snapshots plus
+    observable rows.  A packet centred outside its window is a ConfigError.
 
     Snapshots are taken every `solver.snapshot_stride` steps, always
     including t = 0 and the final time.  The total time is covered by
@@ -554,7 +528,7 @@ def evolve(
     new (even, odd) state assembled from it.  Non-finite fields or
     observables raise InstabilityError.
     """
-    generator = build_generator(window, mode=mode, delta=delta)
+    window = generator.window
     packet.check_window(window)
     stepper = TransportStepper(generator, solver)
     grid = window.grid()

@@ -25,6 +25,8 @@ hand; the matrix route and the sum rule pin it down).
 
 Small-velocity and near-light-speed approximations of (f, g) are
 provided as `galileo_coefficients` and `ultra_coefficients`.
+`coefficient_arrays` is the one definition of the coefficient modes
+that the solver, the oracle and the coefficient scan sample.
 """
 
 import math
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import Acceleration
-from .errors import CoordinateDomainError, SingularityError
+from .errors import ConfigError, CoordinateDomainError, SingularityError
 
 __all__ = [
     "CoefficientPoint",
@@ -61,6 +63,8 @@ SINGULAR_EPS = 1e-9
 COEFFICIENT_CAP = 10.0
 # minimum allowed distance of log(delta/2) from the singular value -4
 ULTRA_SINGULAR_MARGIN = 0.5
+
+_MODES = ("exact", "galileo", "ultra")
 
 _SINGULAR_BRACKET = (1.001, 20.0)
 
@@ -101,14 +105,32 @@ def denominator(u):
     return float(result) if result.ndim == 0 else result
 
 
-def coefficient_arrays(u, eps: float = SINGULAR_EPS):
-    """Vectorized (f, g, D) over an array of u values.
+def coefficient_arrays(
+    u, mode: str = "exact", delta: float | None = None, eps: float = SINGULAR_EPS
+):
+    """Vectorized (f, g, D) over an array of u values in one mode: 'exact'
+    (the closed forms), 'galileo' (f = 1 + v/2, g = -v/2 at the local
+    v = s/u) or 'ultra' (f = 1 + f_delta, g = -f_delta; needs delta).
+    D is NaN outside 'exact'.  Bad mode/delta pairs raise ConfigError.
 
-    Raises SingularityError if any sample sits within eps of the root
-    of D; callers wanting flagged scans should pre-mask instead.
+    'exact' raises SingularityError if any sample sits within eps of
+    the root of D; flagged scans pass eps = -inf and test D themselves.
     """
+    if mode not in _MODES:
+        raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
+    if mode == "ultra":
+        if delta is None:
+            raise ConfigError("mode 'ultra' requires a delta parameter")
+        shape = np.shape(u)
+        fd = ultra_f_delta(delta)
+        return np.full(shape, 1.0 + fd), np.full(shape, -fd), np.full(shape, np.nan)
+    if delta is not None:
+        raise ConfigError(f"mode {mode!r} takes no delta parameter")
     u = np.asarray(u, dtype=float)
     s, r = hyperbolic_factors(u)
+    if mode == "galileo":
+        v = s / u
+        return 1.0 + v / 2.0, -v / 2.0, np.full(u.shape, np.nan)
     D = u + s - u * r
     if np.any(np.abs(D) <= eps):
         bad = float(u.reshape(-1)[int(np.argmin(np.abs(D)))])

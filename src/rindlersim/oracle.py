@@ -8,7 +8,9 @@ characteristics: trace each grid point backward along
 dX/ds = -c_minus(X) with RK4 and read the analytic initial packet at
 the origin.  Evaluating the analytic formula at the traced origin (as
 opposed to interpolating grid data) keeps interpolation error out of
-solver/oracle comparisons.
+solver/oracle comparisons.  The speed comes from the coefficient modes
+the solver samples too: the oracle checks the transport, not the
+coefficients.
 """
 
 import math
@@ -20,7 +22,7 @@ import numpy as np
 from .embedding import Grid, ScalarField
 from .errors import GridMismatchError, OracleCoverageError
 from .evolution import DEFAULT_SINGULAR_MARGIN, GridWindow, WavepacketSpec
-from .hamiltonian import coefficient_arrays, find_singularity, ultra_f_delta
+from .hamiltonian import coefficient_arrays, find_singularity
 
 __all__ = [
     "ErrorReport",
@@ -40,31 +42,15 @@ def exact_inertial(packet: WavepacketSpec, grid: Grid, t: float) -> ScalarField:
 def transport_speed(
     window: GridWindow, mode: str = "exact", delta: float | None = None
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Speed profile c_minus(x) of the accelerated-frame component for
-    the given coefficient mode, evaluable at arbitrary positions."""
+    """Speed profile c_minus(x) = f - g of the accelerated-frame component
+    for the given coefficient mode, evaluable at arbitrary positions; a bad
+    mode or delta raises ConfigError when it is evaluated."""
     a = window.a.a
-    if mode == "exact":
 
-        def speed(x):
-            f, g, _ = coefficient_arrays(a * np.asarray(x, dtype=float))
-            return f - g
+    def speed(x):
+        f, g, _ = coefficient_arrays(a * np.asarray(x, dtype=float), mode, delta)
+        return f - g
 
-    elif mode == "galileo":
-
-        def speed(x):
-            u = a * np.asarray(x, dtype=float)
-            return 1.0 + np.sqrt((u - 1.0) * (u + 1.0)) / u
-
-    elif mode == "ultra":
-        if delta is None:
-            raise ValueError("mode 'ultra' requires a delta parameter")
-        c = 1.0 + 2.0 * ultra_f_delta(delta)
-
-        def speed(x):
-            return np.full_like(np.asarray(x, dtype=float), c)
-
-    else:
-        raise ValueError(f"unknown coefficient mode {mode!r}")
     return speed
 
 

@@ -6,6 +6,8 @@ decimals, shortest round-trip float formatting, LF line endings and
 UTF-8; report JSON uses sorted keys and no timestamps, so identical
 configurations produce byte-identical outputs.  Config files are JSON
 with a fixed field set; unknown fields are rejected outright.
+load_config builds the run's generator once; cmd_evolve runs on it and
+makes its output directory only after the run returns.
 
 Snapshot CSVs are streamed row by row and dealt round-robin over one
 writer per CPU in the process's affinity set: the calling process
@@ -16,7 +18,6 @@ writes a file does not change its bytes.
 import json
 import math
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ from .coords import Acceleration
 from .errors import ConfigError
 from .evolution import (
     EvolutionResult,
+    Generator,
     GridWindow,
     SolverConfig,
     WavepacketSpec,
@@ -34,10 +36,10 @@ from .evolution import (
 from .hamiltonian import (
     COEFFICIENT_CAP,
     SINGULAR_EPS,
+    coefficient_arrays,
     coefficients,
     find_singularity,
     galileo_coefficients,
-    hyperbolic_factors,
     ultra_coefficients,
     ultra_f_delta,
 )
@@ -67,13 +69,29 @@ _SCHEME_ALIASES = {
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    a: Acceleration
-    window: GridWindow
+    """A loaded configuration.  The generator, built once at load,
+    carries the window, the acceleration and the coefficient mode."""
+
+    generator: Generator
     packet: WavepacketSpec
     solver: SolverConfig
-    mode: str
-    delta: float | None
     output_dir: str | None
+
+    @property
+    def window(self) -> GridWindow:
+        return self.generator.window
+
+    @property
+    def a(self) -> Acceleration:
+        return self.generator.window.a
+
+    @property
+    def mode(self) -> str:
+        return self.generator.mode
+
+    @property
+    def delta(self) -> float | None:
+        return self.generator.delta
 
     def physics_dict(self) -> dict:
         """Configuration echo for reports; deliberately excludes the
@@ -202,36 +220,15 @@ def load_config(source) -> SimulationConfig:
             delta = _as_number(mode_raw["delta"], "mode.delta")
     else:
         raise ConfigError(f"mode must be a string or object, got {mode_raw!r}")
-    if mode not in ("exact", "galileo", "ultra"):
-        raise ConfigError(f"unknown mode {mode!r}")
-    if mode == "ultra" and delta is None:
-        raise ConfigError("mode 'ultra' requires a delta parameter")
-    if mode != "ultra" and delta is not None:
-        raise ConfigError(f"mode {mode!r} takes no delta parameter")
 
     output_dir = raw.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError("output_dir must be a string path")
 
-    # re-validate the physics invariants at load, before any run starts:
-    # window geometry, singular-band exclusion and mode preconditions
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        build_generator(window, mode=mode, delta=delta)
-    if not (window.x_min < packet.x0 < window.x_max):
-        raise ConfigError(
-            f"packet center {packet.x0} lies outside window "
-            f"[{window.x_min}, {window.x_max}]"
-        )
-
+    # validates the window and the mode before any run starts
+    generator = build_generator(window, mode=mode, delta=delta)
     return SimulationConfig(
-        a=a,
-        window=window,
-        packet=packet,
-        solver=solver,
-        mode=mode,
-        delta=delta,
-        output_dir=output_dir,
+        generator=generator, packet=packet, solver=solver, output_dir=output_dir
     )
 
 
@@ -330,13 +327,10 @@ def cmd_coeffs(
     if samples < 2:
         raise ConfigError(f"need at least 2 samples, got {samples}")
     u = np.linspace(u_min, u_max, samples)
-    s, r = hyperbolic_factors(u)
-    D = u + s - u * r
-    near_zero = np.abs(D) <= SINGULAR_EPS
-    safe_D = np.where(near_zero, 1.0, D)
-    f = (u + s) * (1.0 - r / 2.0) / safe_D
-    g = r * (s - u) / (2.0 * safe_D)
-    flagged = near_zero | (np.abs(f) > COEFFICIENT_CAP)
+    # every sample is evaluated; singular ones are flagged, not raised
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f, g, D = coefficient_arrays(u, eps=-math.inf)
+    flagged = (np.abs(D) <= SINGULAR_EPS) | (np.abs(f) > COEFFICIENT_CAP)
 
     rows = []
     for i in range(samples):
@@ -387,7 +381,8 @@ def _report_payload(config: SimulationConfig, result: EvolutionResult) -> dict:
 
 
 def cmd_evolve(config: SimulationConfig, out_dir=None) -> dict:
-    """Run one evolution; write per-snapshot CSVs and the report JSON.
+    """Run one evolution; write per-snapshot CSVs and the report JSON
+    into an output directory made after the run returns.
 
     Returns a small manifest with the written paths and the in-memory
     result.  Reruns with an identical configuration are byte-identical.
@@ -395,15 +390,9 @@ def cmd_evolve(config: SimulationConfig, out_dir=None) -> dict:
     target = out_dir if out_dir is not None else config.output_dir
     if target is None:
         raise ConfigError("no output directory given (config output_dir or out_dir)")
-    os.makedirs(target, exist_ok=True)
 
-    result = evolve(
-        config.packet,
-        config.window,
-        config.solver,
-        mode=config.mode,
-        delta=config.delta,
-    )
+    result = evolve(config.packet, config.generator, config.solver)
+    os.makedirs(target, exist_ok=True)
 
     x = config.window.grid().points()
     snapshot_paths = [

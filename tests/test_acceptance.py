@@ -23,7 +23,13 @@ from rindlersim.embedding import (
     position_observable,
     window_projector,
 )
-from rindlersim.evolution import GridWindow, SolverConfig, WavepacketSpec, evolve
+from rindlersim.evolution import (
+    GridWindow,
+    SolverConfig,
+    WavepacketSpec,
+    build_generator,
+    evolve,
+)
 from rindlersim.hamiltonian import (
     bisect,
     coefficient_arrays,
@@ -66,13 +72,13 @@ def coefficient_samples():
 @pytest.fixture(scope="module")
 def run_fine():
     window = GridWindow(x_min=4.5, x_max=12.0, n=2048, a=A1)
-    return window, evolve(STD_PACKET, window, STD_SOLVER)
+    return window, evolve(STD_PACKET, build_generator(window), STD_SOLVER)
 
 
 @pytest.fixture(scope="module")
 def run_coarse():
     window = GridWindow(x_min=4.5, x_max=12.0, n=1024, a=A1)
-    return window, evolve(STD_PACKET, window, STD_SOLVER)
+    return window, evolve(STD_PACKET, build_generator(window), STD_SOLVER)
 
 
 def inertial_l2_error(window, result):

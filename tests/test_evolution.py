@@ -80,6 +80,8 @@ def test_ultra_mode_constant_coefficients():
     assert gen.f[0] == pytest.approx(1.0 - 0.020404554013766268, rel=1e-13)
     with pytest.raises(ConfigError):
         build_generator(WINDOW, mode="ultra")  # delta missing
+    with pytest.raises(ConfigError):
+        build_generator(WINDOW, mode="exact", delta=0.3)  # delta on another mode
 
 
 def test_cfl_dt_standard_window():
@@ -227,7 +229,7 @@ def test_step_eigen_allocates_no_grid_sized_array(scheme, boundary):
 
 def test_evolve_report_structure_and_t0():
     solver = SolverConfig(t_final=0.5, cfl=0.5, snapshot_stride=64)
-    result = evolve(PACKET, WINDOW, solver)
+    result = evolve(PACKET, build_generator(WINDOW), solver)
     assert result.times[0] == 0.0
     assert result.times[-1] == pytest.approx(0.5, abs=1e-12)
     assert all(t2 > t1 for t1, t2 in zip(result.times, result.times[1:]))
@@ -241,7 +243,7 @@ def test_evolve_report_structure_and_t0():
 
 def test_evolve_snapshots_are_copies_of_the_stepped_state():
     solver = SolverConfig(t_final=0.05, cfl=0.5, snapshot_stride=1)
-    result = evolve(PACKET, WINDOW, solver)
+    result = evolve(PACKET, build_generator(WINDOW), solver)
     x = WINDOW.grid().points()
     assert len(result.snapshots) > 3
     assert np.array_equal(result.snapshots[0].even, PACKET.evaluate(x))
@@ -269,13 +271,13 @@ def test_report_norms_do_not_cancel_across_frames():
 def test_overflowing_observables_raise_instability():
     packet = WavepacketSpec(x0=7.5, sigma=0.3, amplitude=1e200)
     with pytest.raises(InstabilityError) as info:
-        evolve(packet, WINDOW, SolverConfig(t_final=0.1))
+        evolve(packet, build_generator(WINDOW), SolverConfig(t_final=0.1))
     assert info.value.step_index == 0
 
 
 def test_evolve_t_zero_returns_initial_state_only():
     solver = SolverConfig(t_final=0.0)
-    result = evolve(PACKET, WINDOW, solver)
+    result = evolve(PACKET, build_generator(WINDOW), solver)
     assert len(result.times) == 1
     assert result.report[0].t == 0.0
     assert result.report[0].x_inertial == pytest.approx(PACKET.x0, abs=1e-6)
@@ -283,7 +285,7 @@ def test_evolve_t_zero_returns_initial_state_only():
 
 def test_evolve_norm_conservation_and_amplitude_transport():
     solver = SolverConfig(t_final=1.0, cfl=0.5, snapshot_stride=100)
-    result = evolve(PACKET, WINDOW, solver)
+    result = evolve(PACKET, build_generator(WINDOW), solver)
     norms = [row.norm_inertial for row in result.report]
     assert max(abs(n / norms[0] - 1.0) for n in norms) <= 1e-6
     # value transport keeps the accelerated-frame peak within 2%
@@ -299,7 +301,9 @@ def test_wide_packet_run_centers():
     window = GridWindow(x_min=4.5, x_max=12.0, n=2048, a=A1)
     solver = SolverConfig(t_final=1.0, cfl=0.5, snapshot_stride=2000)
     with pytest.warns(UserWarning):
-        result = evolve(WavepacketSpec(x0=6.0, sigma=0.5), window, solver)
+        result = evolve(
+            WavepacketSpec(x0=6.0, sigma=0.5), build_generator(window), solver
+        )
     final = result.report[-1]
     assert final.x_inertial == pytest.approx(7.00, abs=0.01)
     assert final.x_rindler == pytest.approx(6.93, abs=0.02)
@@ -308,13 +312,13 @@ def test_wide_packet_run_centers():
 def test_packet_outside_window_is_rejected():
     solver = SolverConfig(t_final=0.1)
     with pytest.raises(ConfigError):
-        evolve(WavepacketSpec(x0=20.0, sigma=0.3), WINDOW, solver)
+        evolve(WavepacketSpec(x0=20.0, sigma=0.3), build_generator(WINDOW), solver)
 
 
 def test_marginal_packet_warns():
     solver = SolverConfig(t_final=0.0)
     with pytest.warns(UserWarning):
-        evolve(WavepacketSpec(x0=6.0, sigma=0.5), WINDOW, solver)
+        evolve(WavepacketSpec(x0=6.0, sigma=0.5), build_generator(WINDOW), solver)
 
 
 def test_instability_detected_for_oversized_steps(monkeypatch):
@@ -328,7 +332,7 @@ def test_instability_detected_for_oversized_steps(monkeypatch):
     gen = build_generator(WINDOW)
     solver = SolverConfig(t_final=400 * huge_dt(WINDOW, gen, 1.0), snapshot_stride=10**6)
     with pytest.raises(InstabilityError), np.errstate(over="ignore", invalid="ignore"):
-        evolve(PACKET, WINDOW, solver)
+        evolve(PACKET, gen, solver)
 
 
 def test_periodic_boundary_warns_and_preserves_norm():
@@ -352,7 +356,7 @@ def test_sponge_absorbs_outgoing_packet():
     # run long enough for the packet to hit the right edge; the layer
     # must swallow it without reflecting or blowing up
     solver = SolverConfig(t_final=6.0, cfl=0.5, snapshot_stride=2000)
-    result = evolve(WavepacketSpec(x0=8.0, sigma=0.3), WINDOW, solver)
+    result = evolve(WavepacketSpec(x0=8.0, sigma=0.3), build_generator(WINDOW), solver)
     final = result.report[-1]
     assert final.norm_inertial <= 0.05 * result.report[0].norm_inertial
     interior = np.abs(result.snapshots[-1].even + result.snapshots[-1].odd)[:400]
@@ -361,7 +365,7 @@ def test_sponge_absorbs_outgoing_packet():
 
 def test_upwind_scheme_is_stable_and_dissipative():
     solver = SolverConfig(scheme="upwind1", t_final=1.0, cfl=0.5, snapshot_stride=200)
-    result = evolve(PACKET, WINDOW, solver)
+    result = evolve(PACKET, build_generator(WINDOW), solver)
     norms = [row.norm_inertial for row in result.report]
     assert all(n2 <= n1 + 1e-12 for n1, n2 in zip(norms, norms[1:]))
     # still transports: the packet moved right by roughly t

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from rindlersim.coords import Acceleration
 from rindlersim.embedding import Grid, ScalarField
-from rindlersim.errors import GridMismatchError, OracleCoverageError
-from rindlersim.evolution import GridWindow, WavepacketSpec
+from rindlersim.errors import ConfigError, GridMismatchError, OracleCoverageError
+from rindlersim.evolution import GridWindow, WavepacketSpec, build_generator
 from rindlersim.oracle import (
     backtrace_origins,
     characteristics_rindler,
@@ -66,6 +68,26 @@ def test_ultra_mode_speed_is_constant_and_near_unity():
     values = speed(WINDOW.grid().points())
     assert np.ptp(values) == 0.0
     assert values[0] == pytest.approx(1.0, abs=1e-7)
+    for mode in ("ultra", "warp"):  # ultra without delta, unknown mode
+        with pytest.raises(ConfigError):
+            transport_speed(WINDOW, mode=mode)(WINDOW.grid().points())
+
+
+@pytest.mark.parametrize(
+    "window, mode, delta",
+    [
+        (WINDOW, "exact", None),
+        (GridWindow(x_min=1.001, x_max=1.02, n=512, a=A1), "galileo", None),
+        (WINDOW, "ultra", 1e-8),
+    ],
+    ids=["exact", "galileo", "ultra"],
+)
+def test_transport_speed_is_the_solver_speed_bit_for_bit(window, mode, delta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # this galileo window is marginal
+        generator = build_generator(window, mode=mode, delta=delta)
+    speed = transport_speed(window, mode=mode, delta=delta)
+    assert np.array_equal(speed(window.grid().points()), generator.c_minus)
 
 
 def test_characteristic_trace_lands_near_expected_origin():

@@ -98,6 +98,12 @@ def test_mode_parsing(tmp_path):
     raw["mode"] = "warp"
     with pytest.raises(ConfigError):
         load_config(raw)
+    # the generator is built at load, and its warnings are not silenced
+    raw["mode"] = "galileo"
+    raw["window"] = {"x_min": 1.001, "x_max": 1.02, "N": 128}
+    raw["packet"]["x0"] = 1.01
+    with pytest.warns(UserWarning, match="marginal"):
+        assert load_config(raw).generator.mode == "galileo"
 
 
 def test_malformed_json_is_a_config_error(tmp_path):
@@ -187,10 +193,29 @@ def test_cmd_evolve_writes_outputs(tmp_path):
     assert "output_dir" not in report["config"]
 
     snap = artifacts["snapshot_paths"][0]
-    lines = open(snap, encoding="utf-8").read().splitlines()
+    with open(snap, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
     assert lines[0] == SNAPSHOT_HEADER
     assert len(lines) == 257
     assert len(artifacts["snapshot_paths"]) == len(rows)
+
+
+def test_config_run_builds_the_generator_once(tmp_path, monkeypatch):
+    import rindlersim.evolution as evolution_module
+    import rindlersim.runner as runner_module
+
+    build = evolution_module.build_generator
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(runner_module, "build_generator", counted)
+    monkeypatch.setattr(evolution_module, "build_generator", counted)
+    config = load_config(standard_config(tmp_path / "out", n=128, t_final=0.05))
+    cmd_evolve(config)
+    assert len(calls) == 1
 
 
 def test_cmd_evolve_t0_single_row(tmp_path):
@@ -424,6 +449,13 @@ def test_cli_evolve_success_and_exit_codes(tmp_path):
     bad["packet"]["x0"] = 1.2
     cfg_bad.write_text(json.dumps(bad))
     assert main(["evolve", "--config", str(cfg_bad)]) == 2
+
+    # packet centre outside the window -> exit 2, and no output directory
+    outside = standard_config(tmp_path / "outside", n=128, t_final=0.05, x0=20.0)
+    cfg_outside = tmp_path / "outside.json"
+    cfg_outside.write_text(json.dumps(outside))
+    assert main(["evolve", "--config", str(cfg_outside)]) == 2
+    assert not (tmp_path / "outside").exists()
 
     # unknown config field -> exit 2
     ugly = standard_config(tmp_path / "ugly")
