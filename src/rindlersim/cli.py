@@ -47,8 +47,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    coeffs = sub.add_parser("coeffs", help="scan generator coefficients to CSV")
-    coeffs.add_argument("--a", type=float, default=1.0, help="proper acceleration")
+    coeffs = sub.add_parser(
+        "coeffs",
+        help="scan generator coefficients to CSV",
+        description=(
+            "Scan (u, f, g, D) over u = a*x in [u-min, u-max].  The scan is "
+            "in the dimensionless u, so the CSV does not depend on --a."
+        ),
+    )
+    coeffs.add_argument(
+        "--a",
+        type=float,
+        default=1.0,
+        help="proper acceleration; accepted for symmetry with the other "
+        "subcommands, it does not change the CSV (the scan is in u = a*x)",
+    )
     coeffs.add_argument("--u-min", type=float, default=1.0)
     coeffs.add_argument("--u-max", type=float, default=20.0)
     coeffs.add_argument("--samples", type=int, default=2000)

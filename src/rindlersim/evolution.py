@@ -41,13 +41,12 @@ from .embedding import (
     Grid,
     ScalarField,
     embed_initial,
-    expectation_inertial,
-    expectation_rindler,
-    correlation,
     field_norm,
-    identity_observable,
-    position_observable,
+    inner,
 )
+# Not called here any more, but the traced benchmark (perfbench/tracing.py)
+# wraps these names on this module, so they must stay importable from it.
+from .embedding import correlation, expectation_inertial, expectation_rindler  # noqa: F401
 from .errors import ConfigError, InstabilityError
 from .hamiltonian import COEFFICIENT_CAP, coefficient_arrays, find_singularity
 
@@ -481,22 +480,20 @@ class EvolutionResult:
 
 
 def _report_row(t: float, state: EnlargedSpinorField, pair: np.ndarray) -> ReportRow:
-    """Observables of one snapshot.  The frame norms are taken from the
-    transported rows (psi, psi') of `pair`: as differences of
-    two-component forms they would cancel once one frame's field dwarfs
-    the other's.  Centers and correlations stay Pauli-block forms."""
+    """Observables of one snapshot.  Norms, centers and correlations are
+    plain inner products of the transported rows (psi, psi') of `pair`:
+    as Pauli-block forms over (even, odd) they would cancel once one
+    frame's field dwarfs the other's."""
     dx = state.grid.dx
-    pos = position_observable(state.grid)
+    x = state.grid.points()
+    psi, psi_prime = pair
     # overflow shows up as non-finite observables, which evolve rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        norm_in = field_norm(pair[0], dx)
-        norm_rin = field_norm(pair[1], dx)
-        x_in = (
-            expectation_inertial(state, pos).real / norm_in**2 if norm_in > 0 else None
-        )
-        x_rin = (
-            expectation_rindler(state, pos).real / norm_rin**2 if norm_rin > 0 else None
-        )
+        norm_in = field_norm(psi, dx)
+        norm_rin = field_norm(psi_prime, dx)
+        x_psi_prime = x * psi_prime
+        x_in = inner(psi, x * psi, dx).real / norm_in**2 if norm_in > 0 else None
+        x_rin = inner(psi_prime, x_psi_prime, dx).real / norm_rin**2 if norm_rin > 0 else None
         return ReportRow(
             t=t,
             norm_even=field_norm(state.even, dx),
@@ -505,8 +502,8 @@ def _report_row(t: float, state: EnlargedSpinorField, pair: np.ndarray) -> Repor
             norm_rindler=norm_rin,
             x_inertial=x_in,
             x_rindler=x_rin,
-            corr_identity=correlation(state, identity_observable(state.grid)),
-            corr_position=correlation(state, pos),
+            corr_identity=inner(psi, psi_prime, dx),
+            corr_position=inner(psi, x_psi_prime, dx),
         )
 
 

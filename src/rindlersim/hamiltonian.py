@@ -89,12 +89,24 @@ class SingularPoint:
 
 
 def hyperbolic_factors(u):
-    """Return (s, r) = (sqrt(u^2-1), arctanh(s/u)) for scalar or array u >= 1."""
+    """Return (s, r) = (sqrt(u^2-1), arctanh(s/u)) for scalar or array u >= 1.
+
+    NaN lies outside the domain.  s and r are fresh arrays shaped like u,
+    or numpy scalars for 0-d u, each computed in place on its own buffer.
+    """
     u = np.asarray(u, dtype=float)
-    if np.any(u < 1.0):
+    # one reduction; the negated form also rejects NaN
+    if u.size and not u.min() >= 1.0:
         raise CoordinateDomainError("u = a*x must be >= 1 (right-wedge positions only)")
-    s = np.sqrt((u - 1.0) * (u + 1.0))
-    r = np.arctanh(s / u)
+    if u.ndim == 0:
+        s, r = hyperbolic_factors(u.reshape(1))
+        return s[0], r[0]
+    s = u - 1.0
+    r = u + 1.0
+    s *= r
+    np.sqrt(s, out=s)
+    np.divide(s, u, out=r)
+    np.arctanh(r, out=r)
     return s, r
 
 
@@ -127,16 +139,31 @@ def coefficient_arrays(
     if delta is not None:
         raise ConfigError(f"mode {mode!r} takes no delta parameter")
     u = np.asarray(u, dtype=float)
-    s, r = hyperbolic_factors(u)
     if mode == "galileo":
+        s, _ = hyperbolic_factors(u)
         v = s / u
         return 1.0 + v / 2.0, -v / 2.0, np.full(u.shape, np.nan)
-    D = u + s - u * r
-    if np.any(np.abs(D) <= eps):
-        bad = float(u.reshape(-1)[int(np.argmin(np.abs(D)))])
+    if u.ndim == 0:
+        f, g, D = coefficient_arrays(u.reshape(1), eps=eps)
+        return f[0], g[0], D[0]
+    # The closed forms in their operation order, in place on fresh buffers:
+    # D = (u + s) - u*r, f = ((u + s) * (1 - r/2)) / D, g = (r*(s - u)) / (2*D).
+    s, r = hyperbolic_factors(u)
+    u_plus_s = u + s
+    D = u * r
+    np.subtract(u_plus_s, D, out=D)
+    abs_D = np.abs(D)
+    # fmin skips NaN, so a NaN sample hides no singular one
+    if abs_D.size and np.fmin.reduce(abs_D, axis=None) <= eps:
+        bad = float(u.reshape(-1)[int(np.nanargmin(abs_D))])
         raise SingularityError(f"generator denominator vanishes near u = {bad}")
-    f = (u + s) * (1.0 - r / 2.0) / D
-    g = r * (s - u) / (2.0 * D)
+    f = r / 2.0
+    np.subtract(1.0, f, out=f)
+    f *= u_plus_s
+    f /= D
+    g = np.subtract(s, u, out=s)
+    g *= r
+    g /= np.multiply(2.0, D, out=abs_D)
     return f, g, D
 
 

@@ -318,6 +318,8 @@ def cmd_coeffs(
 ) -> list:
     """Scan (u, f, g, D) over [u_min, u_max] and write a CSV.
 
+    The scan is in the dimensionless u = a*x, so `a` does not change it.
+
     Rows where the coefficients are unusable (|D| <= eps or |f| above
     the coefficient cap) carry empty f and g fields and the flag
     'singular' in the regime_flag column.

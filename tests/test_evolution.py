@@ -268,6 +268,32 @@ def test_report_norms_do_not_cancel_across_frames():
     assert row.norm_inertial == pytest.approx(field_norm(psi, grid.dx), rel=1e-12)
 
 
+def test_report_centers_and_correlations_do_not_cancel_across_frames():
+    # the same 15 orders: Pauli-block forms over (even, odd) read
+    # x_rindler = 0 and corr_identity = 0 here
+    grid = WINDOW.grid()
+    x, dx = grid.points(), grid.dx
+    psi = 1e6 * PACKET.evaluate(x)
+    psi_prime = 1e-9 * WavepacketSpec(x0=9.0, sigma=0.4).evaluate(x)
+    state = EnlargedSpinorField(
+        grid=grid, even=0.5 * (psi + psi_prime), odd=0.5 * (psi - psi_prime)
+    )
+    row = _report_row(0.0, state, np.stack((psi, psi_prime)))
+
+    def braket(u, v):
+        return np.vdot(u, v) * dx
+
+    x_rindler = braket(psi_prime, x * psi_prime).real / braket(psi_prime, psi_prime).real
+    assert x_rindler == pytest.approx(9.0, abs=1e-6)
+    assert row.x_rindler == pytest.approx(x_rindler, rel=1e-12)
+    x_inertial = braket(psi, x * psi).real / braket(psi, psi).real
+    assert row.x_inertial == pytest.approx(x_inertial, rel=1e-12)
+    corr = braket(psi, psi_prime)
+    assert abs(corr) > 1e-6
+    assert row.corr_identity == pytest.approx(corr, rel=1e-12)
+    assert row.corr_position == pytest.approx(braket(psi, x * psi_prime), rel=1e-12)
+
+
 def test_overflowing_observables_raise_instability():
     packet = WavepacketSpec(x0=7.5, sigma=0.3, amplitude=1e200)
     with pytest.raises(InstabilityError) as info:

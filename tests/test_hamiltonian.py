@@ -14,6 +14,7 @@ from rindlersim.hamiltonian import (
     denominator,
     find_singularity,
     galileo_coefficients,
+    hyperbolic_factors,
     ultra_coefficients,
     ultra_f_delta,
     ultra_f_delta_coarse,
@@ -60,6 +61,57 @@ def test_sum_rule():
     u = sample_positions()
     f, g, _ = coefficient_arrays(u)
     assert np.max(np.abs(f + g - 1.0)) <= 1e-10
+
+
+def reference_closed_forms(u):
+    """(s, r, f, g, D) in the closed forms' original, allocating order."""
+    u = np.asarray(u, dtype=float)
+    s = np.sqrt((u - 1.0) * (u + 1.0))
+    r = np.arctanh(s / u)
+    D = u + s - u * r
+    f = (u + s) * (1.0 - r / 2.0) / D
+    g = r * (s - u) / (2.0 * D)
+    return s, r, f, g, D
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        3.0,
+        np.float64(1.0),
+        np.array(7.25),
+        np.geomspace(1.0, 1e9, 4001),
+        np.linspace(4.5, 12.0, 2048),
+        np.linspace(1.0, 20.0, 2000).reshape(40, 50),
+        np.array([]),
+        np.empty((0, 3)),
+    ],
+    ids=["float", "float64", "0-d", "1-d-wide", "1-d-demo04", "2-d", "empty", "empty-2-d"],
+)
+def test_coefficient_arrays_match_the_closed_forms_bit_for_bit(u):
+    # the scans cross u*, and arctanh(s/u) reaches arctanh(1) = inf from u ~ 1e8
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s, r, f, g, D = reference_closed_forms(u)
+        got = coefficient_arrays(u, eps=-math.inf) + hyperbolic_factors(u)
+    for value, want in zip(got, (f, g, D, s, r)):
+        assert np.shape(value) == np.shape(want)
+        assert np.array_equal(value, want, equal_nan=True)
+
+
+def test_nan_positions_are_outside_the_domain():
+    for mode in ("exact", "galileo"):
+        with pytest.raises(CoordinateDomainError):
+            coefficient_arrays([math.nan, 5.0], mode)
+    with pytest.raises(CoordinateDomainError):
+        coefficient_arrays(math.nan)
+    with pytest.raises(CoordinateDomainError):
+        hyperbolic_factors(np.array([[2.0, math.nan]]))
+
+
+def test_singular_sample_is_found_next_to_a_nan_denominator():
+    # u = inf gives D = NaN; that must not hide a sample at the root
+    with np.errstate(invalid="ignore"), pytest.raises(SingularityError):
+        coefficient_arrays([math.inf, U_STAR])
 
 
 def test_sign_structure():

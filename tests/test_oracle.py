@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -143,6 +144,114 @@ def test_left_branch_traces_hit_the_domain_edge():
     packet = WavepacketSpec(x0=2.2, sigma=0.1)
     with pytest.raises(OracleCoverageError):
         characteristics_rindler(packet, 1.0, window, strict_window=False)
+
+
+def reference_backtrace(x, t, speed, substep, valid_lo=-math.inf, valid_hi=math.inf):
+    """Plain allocating RK4 on k = -speed(X), as the oracle first traced."""
+    X = np.array(x, dtype=float)
+
+    def guard(values):
+        if np.any(values < valid_lo) or np.any(values > valid_hi):
+            raise OracleCoverageError("left the valid region")
+        return values
+
+    guard(X)
+    if t == 0.0:
+        return X
+    n_sub = max(1, int(math.ceil(t / substep - 1e-12)))
+    h = t / n_sub
+    for _ in range(n_sub):
+        k1 = -speed(X)
+        k2 = -speed(guard(X + 0.5 * h * k1))
+        k3 = -speed(guard(X + 0.5 * h * k2))
+        k4 = -speed(guard(X + h * k3))
+        X = guard(X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return X
+
+
+def reference_exact_speed(a):
+    """c_minus = f - g from the closed forms, in their original operation order."""
+
+    def speed(x):
+        u = a * np.asarray(x, dtype=float)
+        s = np.sqrt((u - 1.0) * (u + 1.0))
+        r = np.arctanh(s / u)
+        D = u + s - u * r
+        f = (u + s) * (1.0 - r / 2.0) / D
+        g = r * (s - u) / (2.0 * D)
+        return f - g
+
+    return speed
+
+
+def test_exact_backtrace_matches_plain_rk4_bit_for_bit_on_demo04_geometry():
+    # demos/04 grid [4.5, 12] (N = 2048) inside the coverage window [3.7, 12],
+    # default substep, at t = 0.1 instead of 1
+    grid = Grid(4.5, 12.0, 2048)
+    x = grid.points()
+    speed = transport_speed(GridWindow(x_min=3.7, x_max=12.0, n=2048, a=A1))
+    substep = 0.25 * grid.dx / float(np.max(np.abs(speed(x))))
+    got = backtrace_origins(x, 0.1, speed, substep, valid_lo=3.7, valid_hi=12.0)
+    want = reference_backtrace(
+        x, 0.1, reference_exact_speed(1.0), substep, valid_lo=3.7, valid_hi=12.0
+    )
+    assert np.array_equal(got, want)
+
+
+def test_exact_backtrace_matches_plain_rk4_where_the_speed_changes_sign():
+    # on [3.75, 6] c_minus runs from -1.2 to 0.93: both edges are outflow
+    window = GridWindow(x_min=3.75, x_max=6.0, n=512, a=A1)
+    x = window.grid().points()
+    speed = transport_speed(window)
+    assert speed(x)[0] < 0.0 < speed(x)[-1]
+    got = backtrace_origins(x, 2.0, speed, 2e-3, valid_lo=3.75, valid_hi=6.0)
+    want = reference_backtrace(
+        x, 2.0, reference_exact_speed(1.0), 2e-3, valid_lo=3.75, valid_hi=6.0
+    )
+    assert np.array_equal(got, want)
+
+
+def buffered_sin(n):
+    """A speed that writes every result into the same buffer of its own."""
+    out = np.empty(n)
+    return lambda X: np.sin(X, out=out)
+
+
+@pytest.mark.parametrize(
+    "x, t, speed, bounds",
+    [
+        (
+            np.linspace(1.01, 1.02, 256),
+            0.005,
+            transport_speed(GridWindow(1.001, 1.02, 512, A1), mode="galileo"),
+            (1.001, 1.02),
+        ),
+        (
+            np.linspace(6.0, 12.0, 300),
+            1.0,
+            transport_speed(WINDOW, mode="ultra", delta=1e-3),
+            (4.5, 12.0),
+        ),
+        (np.linspace(0.0, 3.0, 200), 1.5, lambda X: np.sin(X), (-1.0, 4.0)),
+        (np.linspace(0.5, 3.0, 200), 1.5, lambda X: X, (0.0, 4.0)),
+        (np.linspace(0.0, 3.0, 200), 1.5, buffered_sin(200), (-1.0, 4.0)),
+        (np.linspace(2.0, 3.0, 200), 1.5, lambda X: 0.75, (0.0, 4.0)),
+        (np.linspace(4.5, 12.0, 64), 0.0, transport_speed(WINDOW), (4.5, 12.0)),
+    ],
+    ids=["galileo", "ultra", "lambda", "returns-its-input", "reuses-its-buffer", "scalar", "t-zero"],
+)
+def test_backtrace_matches_plain_rk4_bit_for_bit(x, t, speed, bounds):
+    got = backtrace_origins(x, t, speed, 1e-2, *bounds)
+    assert np.array_equal(got, reference_backtrace(x, t, speed, 1e-2, *bounds))
+    assert got.shape == x.shape
+
+
+def test_nan_speed_is_a_coverage_error():
+    x = WINDOW.grid().points()
+    with pytest.raises(OracleCoverageError):
+        backtrace_origins(x, 1.0, lambda X: math.nan, substep=0.1)
+    with pytest.raises(OracleCoverageError):
+        backtrace_origins(np.array([5.0, math.nan]), 0.0, transport_speed(WINDOW), 0.1)
 
 
 def test_compare_identical_fields():

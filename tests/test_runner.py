@@ -152,6 +152,14 @@ def test_cmd_coeffs_scan(tmp_path):
         assert rows[i][1] == "" and rows[i][2] == ""
 
 
+def test_cli_coeffs_csv_does_not_depend_on_a(tmp_path):
+    # the scan is in u = a*x, so --a changes nothing in it
+    paths = [tmp_path / f"a{a}.csv" for a in ("1", "2.5")]
+    for a, path in zip(("1", "2.5"), paths):
+        assert main(["coeffs", "--a", a, "--samples", "50", "--out", str(path)]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 def test_cmd_coeffs_validation(tmp_path):
     with pytest.raises(ConfigError):
         cmd_coeffs(A1, 0.5, 20.0, 100, tmp_path / "x.csv")
