@@ -1,5 +1,6 @@
-"""Layer benches on pytest-benchmark: coefficient sampling, the
-characteristics oracle and the RK4 stepper, each timed on its own.
+"""Layer benches on pytest-benchmark: config loading, coefficient
+sampling, the characteristics oracle, the stepper's construction and the
+RK4 step, each timed on its own.
 
 Run from the repository root:
 
@@ -16,11 +17,27 @@ from rindlersim import Acceleration, Grid, GridWindow, WavepacketSpec
 from rindlersim.evolution import SolverConfig, TransportStepper, build_generator, cfl_dt
 from rindlersim.hamiltonian import coefficient_arrays
 from rindlersim.oracle import backtrace_origins, transport_speed
+from rindlersim.runner import load_config
 
 A1 = Acceleration(1.0)
 # the demos/04 geometry: grid [4.5, 12], characteristics may cross down to 3.7
 DEMO04_GRID = Grid(4.5, 12.0, 2048)
 DEMO04_COVERAGE = GridWindow(3.7, 12.0, 2048, A1)
+# the demos/04 configuration, without its output directory
+DEMO04_CONFIG = {
+    "a": 1.0,
+    "window": {"x_min": 4.5, "x_max": 12.0, "N": 2048},
+    "packet": {"x0": 6.0, "sigma": 0.15, "k0": 0.0, "amplitude": 1.0},
+    "time": {"t_final": 1.0, "cfl": 0.5, "snapshot_stride": 250},
+    "scheme": {"derivative": "central4", "boundary": "sponge"},
+    "mode": "exact",
+}
+
+
+def test_load_config_demo04(benchmark):
+    # validation plus the one generator build of a run
+    config = benchmark(load_config, DEMO04_CONFIG)
+    assert config.window.n == 2048
 
 
 def test_coefficient_arrays_2048(benchmark):
@@ -38,6 +55,12 @@ def test_backtrace_origins_demo04(benchmark):
     assert np.all(np.diff(origins) > 0.0)
 
 
+def test_transport_stepper_2048(benchmark):
+    # speeds, SBP closure rows with the folded SAT weights, work buffers
+    generator = build_generator(GridWindow(4.5, 12.0, 2048, A1))
+    benchmark(TransportStepper, generator, SolverConfig())
+
+
 @pytest.mark.parametrize("n", [512, 16384])
 def test_step_eigen(benchmark, n):
     window = GridWindow(4.5, 12.0, n, A1)
@@ -45,9 +68,7 @@ def test_step_eigen(benchmark, n):
     values = WavepacketSpec(x0=7.5, sigma=0.3).evaluate(window.grid().points())
     start = np.stack((values, values))
     dt = cfl_dt(window, stepper.generator, 0.5)
-    stepper.step_eigen(start.copy(), dt)  # caches exp(-dt sigma)
-    # every round steps a fresh copy of the packet, so no round runs on a
-    # field that has had time to grow at the inflow edge
+    # every round steps a fresh copy of the packet
     benchmark.pedantic(
         stepper.step_eigen,
         setup=lambda: ((start.copy(), dt), {}),

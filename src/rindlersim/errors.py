@@ -26,8 +26,9 @@ class ConfigError(RindlerSimError, ValueError):
 
 
 class InstabilityError(RindlerSimError, ArithmeticError):
-    """Non-finite values appeared during time stepping, or in the
-    observables of a snapshot.  Maps to exit code 3."""
+    """Non-finite values appeared during time stepping or in the
+    observables of a snapshot, or the norm of the inertial field psi
+    grew past its initial value at a snapshot.  Maps to exit code 3."""
 
     def __init__(self, step_index: int, message: str = ""):
         self.step_index = step_index

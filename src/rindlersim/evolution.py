@@ -20,12 +20,17 @@ for variable g, so only the inertial component has a conserved norm.
 Windows must stay clear of the denominator singularity (validated up
 front).
 
-Boundary handling: 'sponge' uses one-sided interior stencils at the
-edges plus a cosine-ramp absorbing layer over the outer 10% of the
-window, applied per component only on sides where that component's
-characteristics leave the domain (damping an inflow side would destroy
-incoming physics).  'periodic' wraps the stencils and is supported for
-convergence experiments only, since f and g are not periodic.
+Boundary handling: the central4 derivative is the diagonal-norm SBP(4,2)
+operator of Mattsson & Nordstrom (2004, J. Comput. Phys. 199): the
+fourth-order central stencil inside, four closure rows at each edge,
+and norm weights 17/48, 59/48, 43/48, 49/48 (times dx) on the edge
+samples.  Each component gets zero incoming data through the SAT
+penalty of Carpenter, Gottlieb & Abarbanel (1994, J. Comput. Phys.
+111), -(c_0 / (h_0 dx)) u_0, on an edge where its characteristics
+enter; where they leave, the closure lets the field pass out.  The
+semi-discrete operator has no growing mode, so the field needs no
+absorbing layer.  upwind1 takes zero inflow data too, as a zero sample
+beyond an inflow edge.
 """
 
 import cmath
@@ -52,7 +57,7 @@ from .hamiltonian import COEFFICIENT_CAP, coefficient_arrays, find_singularity
 
 __all__ = [
     "DEFAULT_SINGULAR_MARGIN",
-    "SPONGE_FRACTION",
+    "NORM_GROWTH_TOL",
     "GridWindow",
     "SolverConfig",
     "WavepacketSpec",
@@ -67,11 +72,11 @@ __all__ = [
 
 # half-width of the excluded band around the denominator root, in u
 DEFAULT_SINGULAR_MARGIN = 0.05
-# fraction of the window occupied by each absorbing layer
-SPONGE_FRACTION = 0.1
+# relative rise of ||psi|| over its t = 0 value at which evolve stops
+# the run as unstable; f + g = 1, so the exact norm never rises
+NORM_GROWTH_TOL = 1e-9
 
 _SCHEMES = ("central4", "upwind1")
-_BOUNDARIES = ("sponge", "periodic")
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,6 @@ class GridWindow:
 @dataclass(frozen=True)
 class SolverConfig:
     scheme: str = "central4"
-    boundary: str = "sponge"
     cfl: float = 0.5
     t_final: float = 1.0
     snapshot_stride: int = 1
@@ -102,10 +106,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
             raise ConfigError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
-        if self.boundary not in _BOUNDARIES:
-            raise ConfigError(
-                f"boundary must be one of {_BOUNDARIES}, got {self.boundary!r}"
-            )
         if not (0.0 < self.cfl <= 1.0):
             raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
         if self.t_final < 0.0:
@@ -228,69 +228,54 @@ def cfl_dt(window: GridWindow, generator: Generator, cfl: float) -> float:
     return cfl * window.dx / generator.max_speed
 
 
-def _derivative_central4(v: np.ndarray, dx: float, periodic: bool) -> np.ndarray:
-    if periodic:
-        return (
-            -np.roll(v, -2) + 8.0 * np.roll(v, -1) - 8.0 * np.roll(v, 1) + np.roll(v, 2)
-        ) / (12.0 * dx)
-    d = np.empty_like(v)
-    d[2:-2] = (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * dx)
-    # one-sided fourth-order closures at the edges
-    d[0] = (-25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]) / (
-        12.0 * dx
-    )
-    d[1] = (-3.0 * v[0] - 10.0 * v[1] + 18.0 * v[2] - 6.0 * v[3] + v[4]) / (12.0 * dx)
-    d[-2] = (3.0 * v[-1] + 10.0 * v[-2] - 18.0 * v[-3] + 6.0 * v[-4] - v[-5]) / (
-        12.0 * dx
-    )
-    d[-1] = (25.0 * v[-1] - 48.0 * v[-2] + 36.0 * v[-3] - 16.0 * v[-4] + 3.0 * v[-5]) / (
-        12.0 * dx
-    )
-    return d
-
-
-# The four edge rows 0, 1, N-2, N-1 of the fourth-order derivative
-# (times 12 dx), as source columns and weights in the order the terms are
-# summed: the one-sided closures on the five outermost samples of each
-# side, or for periodic windows the interior stencil wrapped round.
-_CLOSURE_TERMS = (
-    ((0, 1, 2, 3, 4), (-25.0, 48.0, -36.0, 16.0, -3.0)),
-    ((0, 1, 2, 3, 4), (-3.0, -10.0, 18.0, -6.0, 1.0)),
-    ((-1, -2, -3, -4, -5), (3.0, 10.0, -18.0, 6.0, -1.0)),
-    ((-1, -2, -3, -4, -5), (25.0, -48.0, 36.0, -16.0, 3.0)),
+# The SBP(4,2) closure (times 12 dx): the weights of rows 0-3 on columns
+# 0-5, in the order the terms are summed.  Row N-1-i mirrors row i with
+# the sign flipped, and row 4 on is the central stencil.
+_SBP_CLOSURE = (
+    (-288.0 / 17.0, 354.0 / 17.0, -48.0 / 17.0, -18.0 / 17.0, 0.0, 0.0),
+    (-6.0, 0.0, 6.0, 0.0, 0.0, 0.0),
+    (48.0 / 43.0, -354.0 / 43.0, 0.0, 354.0 / 43.0, -48.0 / 43.0, 0.0),
+    (18.0 / 49.0, 0.0, -354.0 / 49.0, 0.0, 384.0 / 49.0, -48.0 / 49.0),
 )
-_INTERIOR_TERMS = ((2, 1, -1, -2), (-1.0, 8.0, -8.0, 1.0))
+# norm weight h_0 of the edge sample, in units of dx
+_SBP_EDGE_NORM = 17.0 / 48.0
+# the SAT penalty -(c_0 / (h_0 dx)) u_0 as a weight of row 0 (times 12 dx)
+_SAT_WEIGHT = 12.0 / _SBP_EDGE_NORM
 
 
-def _edge_rows(n: int, periodic: bool):
-    """The derivative's edge rows as flat indices into a (2, N) pair in C
-    order: the targets (8,), the sources (term, row, edge), and the
-    weights (term, 1, edge)."""
-    columns = np.array([0, 1, n - 2, n - 1])
-    if periodic:
-        offsets, weights = _INTERIOR_TERMS
-        sources = (columns + np.array(offsets)[:, None]) % n
-        weights = np.repeat(np.array(weights)[:, None], 4, axis=1)
-    else:
-        sources = np.array([offsets for offsets, _ in _CLOSURE_TERMS]).T % n
-        weights = np.array([weights for _, weights in _CLOSURE_TERMS]).T
+def _derivative_central4(v: np.ndarray, dx: float) -> np.ndarray:
+    """The SBP(4,2) derivative of one row, without the SAT penalty."""
+    d = np.empty_like(v)
+    d[2:-2] = -v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]
+    for row, weights in enumerate(_SBP_CLOSURE):
+        d[row] = weights[0] * v[0]
+        d[-1 - row] = -weights[0] * v[-1]
+        for column, weight in enumerate(weights[1:], start=1):
+            d[row] += weight * v[column]
+            d[-1 - row] += -weight * v[-1 - column]
+    return d / (12.0 * dx)
+
+
+def _edge_rows(n: int, inflow: np.ndarray):
+    """The closure rows as flat indices into a (2, N) pair in C order: the
+    targets (16,), the sources and the weights (term, row, edge), with the
+    SAT penalty of an inflow edge folded into the weight of its edge
+    sample."""
+    left = np.array(_SBP_CLOSURE).T  # (term, edge row)
+    terms, rows = left.shape
+    columns = np.arange(terms)[:, None].repeat(rows, axis=1)
+    targets = np.concatenate((np.arange(rows), n - 1 - np.arange(rows)))
+    sources = np.concatenate((columns, n - 1 - columns), axis=1)
+    weights = np.concatenate((left, -left), axis=1)
+    weights = np.repeat(weights[:, None, :], 2, axis=1).astype(complex)
+    weights[0, :, 0] += np.where(inflow[:, 0], _SAT_WEIGHT, 0.0)
+    weights[0, :, rows] -= np.where(inflow[:, 1], _SAT_WEIGHT, 0.0)
     row_starts = n * np.arange(2)[:, None]
     return (
-        (row_starts + columns).ravel(),
+        (row_starts + targets).ravel(),
         row_starts + sources[:, None, :],
-        weights[:, None, :].astype(complex),
+        weights,
     )
-
-
-def _sponge_sigma(window: GridWindow, max_speed: float):
-    """Damping-rate profiles for the left and right absorbing layers."""
-    x = np.linspace(window.x_min, window.x_max, window.n)
-    width = SPONGE_FRACTION * (window.x_max - window.x_min)
-    strength = 8.0 * max_speed / width
-    ramp_left = np.clip(((window.x_min + width) - x) / width, 0.0, 1.0)
-    ramp_right = np.clip((x - (window.x_max - width)) / width, 0.0, 1.0)
-    cos_ramp = lambda ramp: 0.5 * (1.0 - np.cos(np.pi * ramp))
-    return strength * cos_ramp(ramp_left), strength * cos_ramp(ramp_right)
 
 
 def _eigen_pair(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
@@ -313,23 +298,16 @@ class TransportStepper:
     The pair is one (2, N) complex array: row 0 is the inertial psi,
     moved at c_plus, row 1 the accelerated-frame psi', moved at c_minus.
     step_eigen overwrites it and allocates no array of the grid's size.
-    For that the stepper holds, as (2, N) arrays, the negated speeds,
-    the sponge rates of each component, the decay factors exp(-dt sigma)
-    of the step sizes in use, and four work buffers: the stage slope k,
-    the stage input, the slope accumulator and one stencil scratch.
+    For that the stepper holds the negated speeds as a (2, N) array, the
+    SBP closure rows of each component with its SAT inflow penalty
+    folded in, and four work buffers: the stage slope k, the stage
+    input, the slope accumulator and one stencil scratch.
     """
 
     def __init__(self, generator: Generator, solver: SolverConfig):
         self.generator = generator
         self.solver = solver
         self.dx = generator.window.dx
-        self.periodic = solver.boundary == "periodic"
-        if self.periodic:
-            warnings.warn(
-                "periodic boundaries wrap non-periodic coefficients; "
-                "use only for convergence experiments",
-                stacklevel=2,
-            )
         n = generator.window.n
         speeds = np.stack((generator.c_plus, generator.c_minus))
         self._central = solver.scheme == "central4"
@@ -340,43 +318,26 @@ class TransportStepper:
         self._minus_speeds = (-speeds).astype(complex)
         # upwind1 takes backward differences where c >= 0, forward ones elsewhere
         self._backward = speeds >= 0.0
+        # (component, edge): the speed points into the window at (left, right)
+        self._inflow = np.stack((speeds[:, 0] > 0.0, speeds[:, -1] < 0.0), axis=1)
         self._edge_targets, self._edge_sources, self._edge_weights = _edge_rows(
-            n, self.periodic
+            n, self._inflow
         )
-        self._sigma = None
-        if not self.periodic:
-            sigma_left, sigma_right = _sponge_sigma(
-                generator.window, generator.max_speed
-            )
-            self._sigma = np.zeros((2, n))
-            for sigma, c in zip(self._sigma, speeds):
-                # damp only where this component's characteristics exit
-                if c[0] < 0.0:
-                    sigma += sigma_left
-                if c[-1] > 0.0:
-                    sigma += sigma_right
-        # exp(-dt sigma) per step size: a run uses two, the CFL step and
-        # the shortened last step
-        self._decay = {}
         self._k, self._stage, self._acc = (
             np.empty((2, n), dtype=complex) for _ in range(3)
         )
         self._scratch = np.empty((2, n + 1), dtype=complex)
 
-    def _decay_factor(self, dt: float) -> np.ndarray | None:
-        if self._sigma is None:
-            return None
-        factor = self._decay.get(dt)
-        if factor is None:
-            if len(self._decay) >= 2:
-                self._decay.clear()
-            factor = self._decay[dt] = np.exp(-dt * self._sigma).astype(complex)
-        return factor
-
     def _rhs(self, pair: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = -c d(pair)/dx, row by row, without allocating.  Terms are
         combined in the order _derivative_central4 uses, so that the two
-        routes give the same floats."""
+        routes give the same floats away from a folded SAT weight.
+
+        upwind1 reads a zero sample beyond an inflow edge, its SAT
+        zero-inflow penalty: for a speed of one sign its matrix is
+        triangular with diagonal -|c| / dx.  A one-sided difference into
+        the window there instead would leave a defective zero eigenvalue,
+        on which round-off grows linearly in time."""
         if self._central:
             inner = out[:, 2:-2]
             scratch = self._scratch[:, 2:-3]
@@ -396,11 +357,9 @@ class TransportStepper:
             # at column i and the forward one at column i - 1
             diff = self._scratch
             np.subtract(pair[:, 1:], pair[:, :-1], out=diff[:, 1:-1])
-            if self.periodic:
-                diff[:, 0] = diff[:, -1] = pair[:, 0] - pair[:, -1]
-            else:
-                diff[:, 0] = diff[:, 1]
-                diff[:, -1] = diff[:, -2]
+            # a zero sample beyond each edge: only an inflow edge reads it
+            diff[:, 0] = pair[:, 0]
+            np.negative(pair[:, -1], out=diff[:, -1])
             np.copyto(out, diff[:, 1:])
             np.copyto(out, diff[:, :-1], where=self._backward)
         np.multiply(out, self._inverse_spacing, out=out)
@@ -408,8 +367,8 @@ class TransportStepper:
         return out
 
     def step_eigen(self, pair: np.ndarray, dt: float) -> np.ndarray:
-        """One RK4 step of size dt, then the sponge decay, on the (2, N)
-        complex pair (psi, psi'); pair is overwritten and returned."""
+        """One RK4 step of size dt on the (2, N) complex pair (psi, psi');
+        pair is overwritten and returned."""
         k, stage, acc = self._k, self._stage, self._acc
         self._rhs(pair, k)
         np.copyto(acc, k)
@@ -423,24 +382,33 @@ class TransportStepper:
         # pair + dt/6 (k1 + 2 k2 + 2 k3 + k4)
         np.multiply(acc, dt / 6.0, out=acc)
         np.add(pair, acc, out=pair)
-        factor = self._decay_factor(dt)
-        if factor is not None:
-            np.multiply(pair, factor, out=pair)
         return pair
 
     def step_coupled(self, even: np.ndarray, odd: np.ndarray, dt: float):
         """One step on the raw two-component system, without using the
-        eigenbasis decoupling; kept as a cross-check of step_eigen."""
+        eigenbasis decoupling; kept as a cross-check of step_eigen.  The
+        SAT penalty is applied explicitly to (psi, psi') here, not folded
+        into the closure weights."""
         if self.solver.scheme != "central4":
             raise ConfigError(
                 "the coupled cross-check needs the direction-free central scheme"
             )
-        f, g = self.generator.f, self.generator.g
+        gen = self.generator
+        f, g = gen.f, gen.g
+        edges = [0, -1]
+        # (component, edge) rates |c| / (h_0 dx) of the inflow penalties
+        speeds = np.stack((gen.c_plus[edges], gen.c_minus[edges]))
+        rates = np.where(self._inflow, np.abs(speeds), 0.0) / (_SBP_EDGE_NORM * self.dx)
 
         def rhs(e, o):
-            de = _derivative_central4(e, self.dx, self.periodic)
-            do = _derivative_central4(o, self.dx, self.periodic)
-            return -(f * de + g * do), -(g * de + f * do)
+            de = _derivative_central4(e, self.dx)
+            do = _derivative_central4(o, self.dx)
+            re, ro = -(f * de + g * do), -(g * de + f * do)
+            sat_plus = -rates[0] * (e[edges] + o[edges])
+            sat_minus = -rates[1] * (e[edges] - o[edges])
+            re[edges] += 0.5 * (sat_plus + sat_minus)
+            ro[edges] += 0.5 * (sat_plus - sat_minus)
+            return re, ro
 
         k1e, k1o = rhs(even, odd)
         k2e, k2o = rhs(even + 0.5 * dt * k1e, odd + 0.5 * dt * k1o)
@@ -448,13 +416,7 @@ class TransportStepper:
         k4e, k4o = rhs(even + dt * k3e, odd + dt * k3o)
         even = even + (dt / 6.0) * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
         odd = odd + (dt / 6.0) * (k1o + 2.0 * k2o + 2.0 * k3o + k4o)
-        # sponge acts on the transported scalars; convert, damp, convert back
-        pair = _eigen_pair(even, odd)
-        factor = self._decay_factor(dt)
-        if factor is not None:
-            pair *= factor
-        plus, minus = pair
-        return 0.5 * (plus + minus), 0.5 * (plus - minus)
+        return even, odd
 
 
 @dataclass(frozen=True)
@@ -523,7 +485,8 @@ def evolve(
     uniform CFL-limited steps with a single shortened final step.  The
     stepper advances one (psi, psi') array in place; each snapshot is a
     new (even, odd) state assembled from it.  Non-finite fields or
-    observables raise InstabilityError.
+    observables raise InstabilityError, and so does a snapshot where
+    ||psi|| exceeds its t = 0 value by more than NORM_GROWTH_TOL of it.
     """
     window = generator.window
     packet.check_window(window)
@@ -546,6 +509,13 @@ def evolve(
         if not _is_finite(row):
             raise InstabilityError(
                 k, f"non-finite observables at step {k} (t = {t:.6g})"
+            )
+        norm0 = report[0].norm_inertial if report else row.norm_inertial
+        if row.norm_inertial > norm0 * (1.0 + NORM_GROWTH_TOL):
+            raise InstabilityError(
+                k,
+                f"||psi|| grew from {norm0:.6g} to {row.norm_inertial:.6g} "
+                f"by step {k} (t = {t:.6g})",
             )
         times.append(t)
         snapshots.append(state)

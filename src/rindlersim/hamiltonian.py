@@ -3,19 +3,21 @@
 Everything is expressed through the dimensionless position u = a*x >= 1
 and the two auxiliary quantities
 
-    s = sqrt(u^2 - 1),        r = arctanh(s / u),
+    s = sqrt(u^2 - 1),        r = arctanh(s / u) = arccosh(u),
 
 in terms of which the closed forms read
 
     D = u + s - u*r                      (shared denominator)
     f = (u + s) * (1 - r/2) / D
-    g = r * (s - u) / (2 * D)
+    g = r * (s - u) / (2 * D) = -r / (2 * D * (u + s))
 
 so that f + g = 1 identically: the inertial combination psi_e + psi_o
 keeps obeying the original massless transport equation.  D has a single
 root u_star ~ 3.624 where the even/odd system cannot be inverted into
 Dirac-like form; coefficients are undefined inside a small margin
-around it.
+around it.  r is evaluated as log1p((u - 1) + s) and g in its last form,
+which avoid the cancellations in arctanh(s/u) and s - u, so f and g keep
+full accuracy from u = 1 + 1e-12 to u = 1e12.
 
 `coefficients_via_inversion` rebuilds (f, g) from the even/odd
 derivative-operator expansion and a literal 2x2 matrix inversion.  It
@@ -89,24 +91,28 @@ class SingularPoint:
 
 
 def hyperbolic_factors(u):
-    """Return (s, r) = (sqrt(u^2-1), arctanh(s/u)) for scalar or array u >= 1.
+    """Return (s, r) = (sqrt(u^2-1), arccosh u) for scalar or array u >= 1,
+    with r = log1p((u - 1) + s).
 
-    NaN lies outside the domain.  s and r are fresh arrays shaped like u,
-    or numpy scalars for 0-d u, each computed in place on its own buffer.
+    NaN and u = inf lie outside the domain.  s and r are fresh arrays
+    shaped like u, or numpy scalars for 0-d u, each computed in place on
+    its own buffer.
     """
     u = np.asarray(u, dtype=float)
-    # one reduction; the negated form also rejects NaN
-    if u.size and not u.min() >= 1.0:
-        raise CoordinateDomainError("u = a*x must be >= 1 (right-wedge positions only)")
+    # the negated form also rejects NaN
+    if u.size and not (u.min() >= 1.0 and u.max() < math.inf):
+        raise CoordinateDomainError(
+            "u = a*x must be finite and >= 1 (right-wedge positions only)"
+        )
     if u.ndim == 0:
         s, r = hyperbolic_factors(u.reshape(1))
         return s[0], r[0]
-    s = u - 1.0
-    r = u + 1.0
+    r = u - 1.0
+    s = u + 1.0
     s *= r
     np.sqrt(s, out=s)
-    np.divide(s, u, out=r)
-    np.arctanh(r, out=r)
+    r += s
+    np.log1p(r, out=r)
     return s, r
 
 
@@ -147,7 +153,7 @@ def coefficient_arrays(
         f, g, D = coefficient_arrays(u.reshape(1), eps=eps)
         return f[0], g[0], D[0]
     # The closed forms in their operation order, in place on fresh buffers:
-    # D = (u + s) - u*r, f = ((u + s) * (1 - r/2)) / D, g = (r*(s - u)) / (2*D).
+    # D = (u + s) - u*r, f = ((u + s) * (1 - r/2)) / D, g = -r / ((2*D) * (u + s)).
     s, r = hyperbolic_factors(u)
     u_plus_s = u + s
     D = u * r
@@ -161,9 +167,10 @@ def coefficient_arrays(
     np.subtract(1.0, f, out=f)
     f *= u_plus_s
     f /= D
-    g = np.subtract(s, u, out=s)
-    g *= r
-    g /= np.multiply(2.0, D, out=abs_D)
+    g = np.multiply(2.0, D, out=abs_D)
+    g *= u_plus_s
+    np.divide(r, g, out=g)
+    np.negative(g, out=g)
     return f, g, D
 
 

@@ -115,10 +115,7 @@ class SimulationConfig:
                 "cfl": self.solver.cfl,
                 "snapshot_stride": self.solver.snapshot_stride,
             },
-            "scheme": {
-                "derivative": self.solver.scheme,
-                "boundary": self.solver.boundary,
-            },
+            "scheme": {"derivative": self.solver.scheme},
             "mode": self.mode if self.delta is None else {"kind": self.mode, "delta": self.delta},
         }
         return d
@@ -201,9 +198,15 @@ def load_config(source) -> SimulationConfig:
     derivative = scheme_raw.get("derivative", "central4")
     if derivative not in _SCHEME_ALIASES:
         raise ConfigError(f"unknown derivative scheme {derivative!r}")
+    # "sponge" is the old name of the one boundary treatment, SBP-SAT
+    boundary = scheme_raw.get("boundary", "sponge")
+    if boundary != "sponge":
+        raise ConfigError(
+            f"boundary must be 'sponge' (the SBP-SAT closure), got {boundary!r}. "
+            "Periodic boundaries were removed."
+        )
     solver = SolverConfig(
         scheme=_SCHEME_ALIASES[derivative],
-        boundary=scheme_raw.get("boundary", "sponge"),
         cfl=_as_number(tm.get("cfl", 0.5), "time.cfl"),
         t_final=_as_number(tm["t_final"], "time.t_final"),
         snapshot_stride=_as_int(tm.get("snapshot_stride", 1), "time.snapshot_stride"),

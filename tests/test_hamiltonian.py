@@ -64,13 +64,13 @@ def test_sum_rule():
 
 
 def reference_closed_forms(u):
-    """(s, r, f, g, D) in the closed forms' original, allocating order."""
+    """(s, r, f, g, D) in the closed forms' stable, allocating order."""
     u = np.asarray(u, dtype=float)
     s = np.sqrt((u - 1.0) * (u + 1.0))
-    r = np.arctanh(s / u)
+    r = np.log1p((u - 1.0) + s)
     D = u + s - u * r
     f = (u + s) * (1.0 - r / 2.0) / D
-    g = r * (s - u) / (2.0 * D)
+    g = -r / (2.0 * D * (u + s))
     return s, r, f, g, D
 
 
@@ -89,13 +89,30 @@ def reference_closed_forms(u):
     ids=["float", "float64", "0-d", "1-d-wide", "1-d-demo04", "2-d", "empty", "empty-2-d"],
 )
 def test_coefficient_arrays_match_the_closed_forms_bit_for_bit(u):
-    # the scans cross u*, and arctanh(s/u) reaches arctanh(1) = inf from u ~ 1e8
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s, r, f, g, D = reference_closed_forms(u)
-        got = coefficient_arrays(u, eps=-math.inf) + hyperbolic_factors(u)
+    s, r, f, g, D = reference_closed_forms(u)
+    got = coefficient_arrays(u, eps=-math.inf) + hyperbolic_factors(u)
     for value, want in zip(got, (f, g, D, s, r)):
         assert np.shape(value) == np.shape(want)
-        assert np.array_equal(value, want, equal_nan=True)
+        assert np.array_equal(value, want)
+
+
+def test_coefficients_match_mpmath_over_the_whole_wedge():
+    mpmath = pytest.importorskip("mpmath")
+    u = np.geomspace(1.0 + 1e-12, 1e12, 1201)
+    u = u[np.abs(u - U_STAR) > 0.05]
+    f, g, _ = coefficient_arrays(u)
+    with mpmath.workdps(50):
+        for ui, fi, gi in zip(u.tolist(), f.tolist(), g.tolist()):
+            U = mpmath.mpf(ui)
+            S = mpmath.sqrt(U * U - 1)
+            R = mpmath.acosh(U)
+            D = U + S - U * R
+            F = (U + S) * (1 - R / 2) / D
+            G = R * (S - U) / (2 * D)
+            # f has a simple zero at u = cosh 2, where 1 - r/2 cancels and
+            # no float algorithm keeps the relative error: take |f| >= 1 there
+            assert abs(fi - F) <= 1e-13 * max(abs(F), 1)
+            assert abs(gi - G) <= 1e-13 * abs(G)
 
 
 def test_nan_positions_are_outside_the_domain():
@@ -108,10 +125,18 @@ def test_nan_positions_are_outside_the_domain():
         hyperbolic_factors(np.array([[2.0, math.nan]]))
 
 
+def test_infinite_positions_are_outside_the_domain():
+    with pytest.raises(CoordinateDomainError):
+        coefficient_arrays([5.0, math.inf])
+    with pytest.raises(CoordinateDomainError):
+        coefficients(math.inf)
+
+
 def test_singular_sample_is_found_next_to_a_nan_denominator():
-    # u = inf gives D = NaN; that must not hide a sample at the root
-    with np.errstate(invalid="ignore"), pytest.raises(SingularityError):
-        coefficient_arrays([math.inf, U_STAR])
+    # s overflows from u ~ 1e154, so D = inf - inf = NaN at u = 1e200; that
+    # must not hide a sample at the root
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SingularityError):
+        coefficient_arrays([1e200, U_STAR])
 
 
 def test_sign_structure():

@@ -170,15 +170,15 @@ def reference_backtrace(x, t, speed, substep, valid_lo=-math.inf, valid_hi=math.
 
 
 def reference_exact_speed(a):
-    """c_minus = f - g from the closed forms, in their original operation order."""
+    """c_minus = f - g from the stable closed forms, in their operation order."""
 
     def speed(x):
         u = a * np.asarray(x, dtype=float)
         s = np.sqrt((u - 1.0) * (u + 1.0))
-        r = np.arctanh(s / u)
+        r = np.log1p((u - 1.0) + s)
         D = u + s - u * r
         f = (u + s) * (1.0 - r / 2.0) / D
-        g = r * (s - u) / (2.0 * D)
+        g = -r / (2.0 * D * (u + s))
         return f - g
 
     return speed

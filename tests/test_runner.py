@@ -121,6 +121,21 @@ def test_scheme_aliases(tmp_path):
     assert load_config(raw).solver.scheme == "upwind1"
 
 
+def test_boundary_accepts_only_sponge(tmp_path):
+    # "sponge" names the SBP-SAT closure; the periodic mode is gone
+    raw = standard_config(tmp_path)
+    assert load_config(raw).physics_dict()["scheme"] == {"derivative": "central4"}
+    del raw["scheme"]["boundary"]
+    load_config(raw)
+    for boundary in ("periodic", "dirichlet"):
+        raw["scheme"]["boundary"] = boundary
+        with pytest.raises(ConfigError, match="Periodic boundaries were removed"):
+            load_config(raw)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["evolve", "--config", str(cfg)]) == 2
+
+
 # ---------------------------------------------------------------- coeffs
 
 
@@ -497,6 +512,26 @@ def test_cli_instability_exit_code(tmp_path, monkeypatch):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(standard_config(tmp_path / "out", n=128, t_final=0.05)))
     assert main(["evolve", "--config", str(cfg)]) == 3
+
+
+def test_cli_growing_norm_exits_3(tmp_path, monkeypatch, capsys):
+    # a stepper whose psi gains 10 times the tolerance a step: finite, but
+    # growing, so the first snapshot after t = 0 stops the run
+    import rindlersim.evolution as evolution
+
+    step = evolution.TransportStepper.step_eigen
+
+    def growing(self, pair, dt):
+        step(self, pair, dt)
+        pair *= 1.0 + 10.0 * evolution.NORM_GROWTH_TOL
+        return pair
+
+    monkeypatch.setattr(evolution.TransportStepper, "step_eigen", growing)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(standard_config(tmp_path / "out", n=128, t_final=0.05)))
+    assert main(["evolve", "--config", str(cfg)]) == 3
+    assert "grew" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_overflowing_observables_exit_3(tmp_path):
