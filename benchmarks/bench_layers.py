@@ -1,6 +1,7 @@
-"""Layer benches on pytest-benchmark: config loading, coefficient
-sampling, the characteristics oracle, the stepper's construction and the
-RK4 step, each timed on its own.
+"""Layer benches on pytest-benchmark: importing the CLI, config
+loading, coefficient sampling, both routes of the characteristics
+oracle, the stepper's construction, the RK4 step, one snapshot's report
+row and one snapshot CSV, each timed on its own.
 
 Run from the repository root:
 
@@ -10,14 +11,29 @@ The file name does not match test_*.py and benchmarks/ lies outside the
 `testpaths` of pyproject.toml, so the tier-1 suite never collects it.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from rindlersim import Acceleration, Grid, GridWindow, WavepacketSpec
-from rindlersim.evolution import SolverConfig, TransportStepper, build_generator, cfl_dt
+from rindlersim.embedding import EnlargedSpinorField
+from rindlersim.evolution import (
+    SolverConfig,
+    TransportStepper,
+    _eigen_pair,
+    _report_row,
+    build_generator,
+    cfl_dt,
+)
 from rindlersim.hamiltonian import coefficient_arrays
-from rindlersim.oracle import backtrace_origins, transport_speed
-from rindlersim.runner import load_config
+from rindlersim.oracle import backtrace_origins, transport_speed, travel_time_origins
+from rindlersim.runner import _write_snapshot, load_config
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 A1 = Acceleration(1.0)
 # the demos/04 geometry: grid [4.5, 12], characteristics may cross down to 3.7
@@ -53,6 +69,48 @@ def test_backtrace_origins_demo04(benchmark):
     substep = 0.25 * DEMO04_GRID.dx / float(np.max(np.abs(speed(x))))
     origins = benchmark(backtrace_origins, x, 0.05, speed, substep, 3.7, 12.0)
     assert np.all(np.diff(origins) > 0.0)
+
+
+def test_travel_time_origins_demo04(benchmark):
+    # the route characteristics_rindler takes, at the default substep over
+    # the whole t = 1 of a demos/04 run
+    x = DEMO04_GRID.points()
+    speed = transport_speed(DEMO04_COVERAGE)
+    substep = 0.25 * DEMO04_GRID.dx / float(np.max(np.abs(speed(x))))
+    origins = benchmark(travel_time_origins, x, 1.0, speed, substep, 3.7, 12.0)
+    assert np.all(np.diff(origins) > 0.0)
+
+
+def demo04_snapshot():
+    """A two-component state on the demos/04 grid, with psi and psi' two
+    packets apart, and its transported pair (psi, psi')."""
+    x = DEMO04_GRID.points()
+    psi = WavepacketSpec(x0=7.0, sigma=0.15, k0=2.0).evaluate(x)
+    psi_prime = WavepacketSpec(x0=6.9, sigma=0.14, k0=2.0).evaluate(x)
+    state = EnlargedSpinorField(DEMO04_GRID, 0.5 * (psi + psi_prime), 0.5 * (psi - psi_prime))
+    return state, _eigen_pair(state.even, state.odd)
+
+
+def test_report_row_2048(benchmark):
+    state, pair = demo04_snapshot()
+    row = benchmark(_report_row, 0.0, state, pair)
+    assert row.norm_inertial > 0.0
+
+
+def test_write_snapshot_2048(benchmark, tmp_path):
+    state, _ = demo04_snapshot()
+    path = tmp_path / "snapshot.csv"
+    benchmark(_write_snapshot, path, DEMO04_GRID.points(), state)
+    assert path.stat().st_size > 0
+
+
+def test_import_cli(benchmark):
+    # a fresh interpreter importing rindlersim.cli, as every CLI run does;
+    # no bytecode is written (as in perfbench's children), so without a
+    # __pycache__ under src every round compiles the sources
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-c", "import rindlersim.cli"]
+    benchmark.pedantic(subprocess.run, (command,), {"env": env, "check": True}, rounds=20)
 
 
 def test_transport_stepper_2048(benchmark):

@@ -40,5 +40,7 @@ class GridMismatchError(RindlerSimError, ValueError):
 
 
 class OracleCoverageError(RindlerSimError, ValueError):
-    """A characteristic trace left the region where the reference
-    solution is defined; shrink t or enlarge the window."""
+    """The characteristics reference is not defined where it was asked
+    for: a trace left the valid region (shrink t or enlarge the window)
+    or meets a speed that is not finite, or the travel-time table does
+    not resolve the speed there (lower the substep)."""

@@ -17,7 +17,9 @@ root u_star ~ 3.624 where the even/odd system cannot be inverted into
 Dirac-like form; coefficients are undefined inside a small margin
 around it.  r is evaluated as log1p((u - 1) + s) and g in its last form,
 which avoid the cancellations in arctanh(s/u) and s - u, so f and g keep
-full accuracy from u = 1 + 1e-12 to u = 1e12.
+full accuracy from u = 1 + 1e-12 up.  The domain ends at U_MAX = 1e305,
+below the overflow of u*r; products that overflow earlier (u^2 - 1 from
+u ~ 1.3e154, D (u + s) from u ~ 3.6e152) are taken apart there.
 
 `coefficients_via_inversion` rebuilds (f, g) from the even/odd
 derivative-operator expansion and a literal 2x2 matrix inversion.  It
@@ -46,6 +48,7 @@ __all__ = [
     "SINGULAR_EPS",
     "COEFFICIENT_CAP",
     "ULTRA_SINGULAR_MARGIN",
+    "U_MAX",
     "hyperbolic_factors",
     "denominator",
     "coefficients",
@@ -70,6 +73,13 @@ _MODES = ("exact", "galileo", "ultra")
 
 _SINGULAR_BRACKET = (1.001, 20.0)
 
+# Largest u in the domain: u*r and (u + s)(1 - r/2) overflow from about
+# 2.5e305, which would make D and f infinite or NaN.
+U_MAX = 1e305
+# Below these u, (u + 1)(u - 1) and 2 D (u + s) cannot overflow.
+_SQUARE_SAFE = 1e154
+_PRODUCT_SAFE = 1e152
+
 
 @dataclass(frozen=True)
 class CoefficientPoint:
@@ -91,26 +101,35 @@ class SingularPoint:
 
 
 def hyperbolic_factors(u):
-    """Return (s, r) = (sqrt(u^2-1), arccosh u) for scalar or array u >= 1,
-    with r = log1p((u - 1) + s).
+    """Return (s, r) = (sqrt(u^2-1), arccosh u) for scalar or array u in
+    [1, U_MAX], with r = log1p((u - 1) + s).
 
-    NaN and u = inf lie outside the domain.  s and r are fresh arrays
-    shaped like u, or numpy scalars for 0-d u, each computed in place on
-    its own buffer.
+    NaN, inf and u above U_MAX lie outside the domain.  s and r are fresh
+    arrays shaped like u, or numpy scalars for 0-d u, each computed in
+    place on its own buffer.  s is sqrt((u + 1)(u - 1)), and
+    sqrt(u - 1) sqrt(u + 1) where that product overflows.
     """
     u = np.asarray(u, dtype=float)
+    hi = u.max() if u.size else 1.0
     # the negated form also rejects NaN
-    if u.size and not (u.min() >= 1.0 and u.max() < math.inf):
+    if u.size and not (u.min() >= 1.0 and hi <= U_MAX):
         raise CoordinateDomainError(
-            "u = a*x must be finite and >= 1 (right-wedge positions only)"
+            f"u = a*x must be finite and lie in [1, {U_MAX:g}] (right-wedge positions only)"
         )
     if u.ndim == 0:
         s, r = hyperbolic_factors(u.reshape(1))
         return s[0], r[0]
     r = u - 1.0
     s = u + 1.0
-    s *= r
-    np.sqrt(s, out=s)
+    if hi > _SQUARE_SAFE:
+        with np.errstate(over="ignore"):
+            s *= r
+        np.sqrt(s, out=s)
+        big = np.isinf(s)
+        s[big] = np.sqrt(r[big]) * np.sqrt(u[big] + 1.0)
+    else:
+        s *= r
+        np.sqrt(s, out=s)
     r += s
     np.log1p(r, out=r)
     return s, r
@@ -159,18 +178,26 @@ def coefficient_arrays(
     D = u * r
     np.subtract(u_plus_s, D, out=D)
     abs_D = np.abs(D)
-    # fmin skips NaN, so a NaN sample hides no singular one
-    if abs_D.size and np.fmin.reduce(abs_D, axis=None) <= eps:
-        bad = float(u.reshape(-1)[int(np.nanargmin(abs_D))])
+    if abs_D.size and abs_D.min() <= eps:
+        bad = float(u.reshape(-1)[int(np.argmin(abs_D))])
         raise SingularityError(f"generator denominator vanishes near u = {bad}")
     f = r / 2.0
     np.subtract(1.0, f, out=f)
     f *= u_plus_s
     f /= D
     g = np.multiply(2.0, D, out=abs_D)
-    g *= u_plus_s
+    big = None
+    if u.size and u.max() > _PRODUCT_SAFE:
+        with np.errstate(over="ignore"):
+            g *= u_plus_s
+        big = np.isinf(g)
+    else:
+        g *= u_plus_s
     np.divide(r, g, out=g)
     np.negative(g, out=g)
+    if big is not None:
+        # 2 D (u + s) overflowed: divide by its factors in turn
+        g[big] = -(r[big] / (2.0 * D[big])) / u_plus_s[big]
     return f, g, D
 
 

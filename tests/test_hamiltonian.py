@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from rindlersim.coords import Acceleration
 from rindlersim.errors import CoordinateDomainError, SingularityError
 from rindlersim.hamiltonian import (
     COEFFICIENT_CAP,
+    U_MAX,
     bisect,
     coefficient_arrays,
     coefficients,
@@ -98,8 +100,12 @@ def test_coefficient_arrays_match_the_closed_forms_bit_for_bit(u):
 
 def test_coefficients_match_mpmath_over_the_whole_wedge():
     mpmath = pytest.importorskip("mpmath")
-    u = np.geomspace(1.0 + 1e-12, 1e12, 1201)
+    u = np.concatenate(
+        (np.geomspace(1.0 + 1e-12, 1e12, 1201), np.geomspace(1e12, 1e300, 1201)[1:])
+    )
     u = u[np.abs(u - U_STAR) > 0.05]
+    # some samples where 2 D (u + s) overflows and g is still normal
+    assert np.any((u > 4e152) & (u < 3e153))
     f, g, _ = coefficient_arrays(u)
     with mpmath.workdps(50):
         for ui, fi, gi in zip(u.tolist(), f.tolist(), g.tolist()):
@@ -108,11 +114,14 @@ def test_coefficients_match_mpmath_over_the_whole_wedge():
             R = mpmath.acosh(U)
             D = U + S - U * R
             F = (U + S) * (1 - R / 2) / D
-            G = R * (S - U) / (2 * D)
+            # the form of g without s - u, which would cancel at 50 digits
+            G = -R / (2 * D * (U + S))
             # f has a simple zero at u = cosh 2, where 1 - r/2 cancels and
             # no float algorithm keeps the relative error: take |f| >= 1 there
             assert abs(fi - F) <= 1e-13 * max(abs(F), 1)
-            assert abs(gi - G) <= 1e-13 * abs(G)
+            # beyond u ~ 3e153, g underflows below the normal floats
+            if abs(G) >= sys.float_info.min:
+                assert abs(gi - G) <= 1e-13 * abs(G)
 
 
 def test_nan_positions_are_outside_the_domain():
@@ -132,11 +141,38 @@ def test_infinite_positions_are_outside_the_domain():
         coefficients(math.inf)
 
 
-def test_singular_sample_is_found_next_to_a_nan_denominator():
-    # s overflows from u ~ 1e154, so D = inf - inf = NaN at u = 1e200; that
-    # must not hide a sample at the root
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SingularityError):
+def test_huge_positions_give_finite_coefficients_up_to_u_max():
+    # s = sqrt((u + 1)(u - 1)) overflows from u ~ 1.3e154 and 2 D (u + s)
+    # from u ~ 3.6e152; both are taken apart there, and the domain ends
+    # at U_MAX, below the overflow of u*r
+    u = np.array([1e153, 1e154, 1.4e154, 1e200, 1e300, U_MAX])
+    for mode in ("exact", "galileo"):
+        f, g, _ = coefficient_arrays(u, mode)
+        assert np.all(np.isfinite(f)) and np.all(np.isfinite(g))
+    f, g, D = coefficient_arrays(u)
+    assert np.all(np.isfinite(D)) and np.all(D < 0.0)
+    s, r = hyperbolic_factors(u)
+    assert np.all(np.isfinite(s)) and np.all(np.isfinite(r))
+    assert np.allclose(s, u, rtol=1e-15)
+    for bad in (2e305, 1e308):
+        with pytest.raises(CoordinateDomainError):
+            coefficient_arrays([5.0, bad])
+
+
+def test_singular_sample_is_found_next_to_a_huge_one():
+    # a sample at the root is found whatever else the array holds
+    with pytest.raises(SingularityError):
         coefficient_arrays([1e200, U_STAR])
+
+
+def test_product_overflow_keeps_the_bits_below_it():
+    # entries whose products stay finite keep their bits when another
+    # entry of the same array takes the overflow route
+    u = np.geomspace(1.0, 1e12, 501)
+    alone = coefficient_arrays(u) + hyperbolic_factors(u)
+    mixed = coefficient_arrays(np.append(u, 1e300)) + hyperbolic_factors(np.append(u, 1e300))
+    for want, got in zip(alone, mixed):
+        assert np.array_equal(got[:-1], want)
 
 
 def test_sign_structure():

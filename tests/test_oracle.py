@@ -1,19 +1,30 @@
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import rindlersim
+from rindlersim import _travel_time
 from rindlersim.coords import Acceleration
 from rindlersim.embedding import Grid, ScalarField
 from rindlersim.errors import ConfigError, GridMismatchError, OracleCoverageError
-from rindlersim.evolution import GridWindow, WavepacketSpec, build_generator
+from rindlersim.evolution import (
+    DEFAULT_SINGULAR_MARGIN,
+    GridWindow,
+    WavepacketSpec,
+    build_generator,
+)
+from rindlersim.hamiltonian import find_singularity
 from rindlersim.oracle import (
     backtrace_origins,
     characteristics_rindler,
     compare,
     exact_inertial,
     transport_speed,
+    travel_time_origins,
 )
 
 A1 = Acceleration(1.0)
@@ -252,6 +263,228 @@ def test_nan_speed_is_a_coverage_error():
         backtrace_origins(x, 1.0, lambda X: math.nan, substep=0.1)
     with pytest.raises(OracleCoverageError):
         backtrace_origins(np.array([5.0, math.nan]), 0.0, transport_speed(WINDOW), 0.1)
+
+
+# Lower edge of the right branch, as characteristics_rindler sets it with
+# strict_window=False.
+RIGHT_BRANCH_LO = find_singularity(A1).u_star + DEFAULT_SINGULAR_MARGIN
+
+
+def default_substep(x, speed):
+    """The default substep of characteristics_rindler: dx / (4 max|c|)."""
+    return 0.25 * (x[1] - x[0]) / float(np.max(np.abs(speed(x))))
+
+
+def route_cases():
+    """(x, t, speed, bounds) on which the two routes are compared."""
+    galileo = GridWindow(1.001, 1.02, 512, A1)
+    left = GridWindow(1.5, 3.0, 512, A1)
+    straddle = GridWindow(3.75, 6.0, 512, A1)
+    x_left, x_galileo = left.grid().points(), galileo.grid().points()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # this galileo window is marginal
+        galileo_speed = transport_speed(galileo, mode="galileo")
+    return {
+        # the demos/04 grid inside its coverage window; the first origins
+        # approach the zero of c_minus at x ~ 3.89
+        "demo04": (
+            Grid(4.5, 12.0, 2048).points(),
+            1.0,
+            transport_speed(GridWindow(3.7, 12.0, 2048, A1)),
+            (3.7, 12.0),
+        ),
+        # the zero of c_minus inside the grid: origins close in on it
+        # from both sides
+        "straddle": (
+            straddle.grid().points(),
+            1.0,
+            transport_speed(straddle),
+            (RIGHT_BRANCH_LO, math.inf),
+        ),
+        "left-branch": (x_left[x_left >= 1.8], 0.2, transport_speed(left), (1.5, 3.0)),
+        "galileo": (x_galileo[x_galileo >= 1.011], 0.005, galileo_speed, (1.001, 1.02)),
+        "ultra": (
+            np.linspace(6.0, 12.0, 300),
+            1.0,
+            transport_speed(WINDOW, mode="ultra", delta=1e-3),
+            (4.5, 12.0),
+        ),
+        "t-zero": (WINDOW.grid().points(), 0.0, transport_speed(WINDOW), (4.5, 12.0)),
+    }
+
+
+@pytest.mark.parametrize("case", list(route_cases()))
+def test_travel_time_route_agrees_with_the_rk4_trace(case):
+    # At the default substep RK4's own error lies well below the bound:
+    # its origins at h and h/2 agree to 3.5e-13 or better on these cases.
+    x, t, speed, bounds = route_cases()[case]
+    substep = default_substep(x, speed)
+    got = travel_time_origins(x, t, speed, substep, *bounds)
+    want = backtrace_origins(x, t, speed, substep, *bounds)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "speed, x, t, bounds, exact",
+    [
+        (lambda X: np.ones_like(X), np.linspace(0.0, 1.0, 50), 1.5, (-2.0, 1.0),
+         lambda x, t: x - t),
+        (lambda X: 0.75, np.linspace(2.0, 3.0, 50), 1.5, (0.0, 4.0), lambda x, t: x - 0.75 * t),
+        # a zero at 0 that the table holds
+        (lambda X: X, np.linspace(0.5, 3.0, 200), 1.5, (0.0, 4.0),
+         lambda x, t: x * np.exp(-t)),
+        # traces running away from the zero at 0, on both sides of it
+        (lambda X: -X, np.linspace(-3.0, 3.0, 201), 1.5, (-30.0, 30.0),
+         lambda x, t: x * np.exp(t)),
+        # zeros at 0 and pi, a slow speed next to pi
+        (np.sin, np.linspace(0.1, 3.0, 200), 1.5, (-1.0, 4.0),
+         lambda x, t: 2.0 * np.arctan(np.tan(x / 2.0) * np.exp(-t))),
+        # segments between two zeros, -pi to 0 and 0 to pi; x = 0 stays
+        (np.sin, np.linspace(-3.0, 3.0, 201), 1.5, (-4.0, 4.0),
+         lambda x, t: 2.0 * np.arctan(np.tan(x / 2.0) * np.exp(-t))),
+    ],
+    ids=["constant", "scalar", "zero-attracts", "zero-repels", "sine", "sine-two-zeros"],
+)
+def test_travel_time_route_matches_closed_form_origins(speed, x, t, bounds, exact):
+    got = travel_time_origins(x, t, speed, 1e-2, *bounds)
+    assert np.max(np.abs(got - exact(x, t))) <= 1e-13 * max(1.0, np.max(np.abs(got)))
+
+
+def test_origins_below_the_table_floor_keep_their_relative_accuracy():
+    # over t = 25 the traces of dX/ds = X close in on the zero at 0 to
+    # within 1e-10, far below the floor of the log cells (2^-24 of their
+    # outer end), where tau is continued linearly in ln X, exactly for
+    # this speed; the slope of that line carries the rounding of the
+    # cell's polynomial (about 1e-13), which grows with the distance
+    # below the floor
+    x = np.linspace(0.5, 3.0, 200)
+    for t in (25.0, -1.0):
+        got = travel_time_origins(x, t, lambda X: X, 1e-2, 0.0, 10.0)
+        assert np.max(np.abs(got / (x * np.exp(-t)) - 1.0)) <= 1e-10
+    # the other way round: from below the floor out into the table
+    x = np.array([1e-12, 3e-9])
+    got = travel_time_origins(x, -20.0, lambda X: X, 1e-2, 0.0, 10.0)
+    assert np.allclose(got, x * np.exp(20.0), rtol=1e-10, atol=0.0)
+
+
+def test_travel_time_route_runs_both_ways():
+    # origins at -t are the points the traces reach at t: back again at +t
+    speed = transport_speed(WINDOW)
+    x = np.linspace(5.0, 10.0, 300)
+    ahead = travel_time_origins(x, -1.0, speed, 1e-3, 3.7, 12.0)
+    assert np.all(ahead > x)
+    back = travel_time_origins(ahead, 1.0, speed, 1e-3, 3.7, 12.0)
+    assert np.max(np.abs(back - x)) <= 1e-13
+
+
+def test_travel_time_origins_stay_on_their_side_of_the_zero():
+    # [3.75, 6] straddles the zero of c_minus; with strict_window=False
+    # the traces of both sides close in on it and never cross it
+    window = GridWindow(3.75, 6.0, 512, A1)
+    x = window.grid().points()
+    speed = transport_speed(window)
+    c = speed(x)
+    assert c[0] < 0.0 < c[-1]
+    for t in (1.0, 5.0, 40.0):
+        origins = travel_time_origins(x, t, speed, 1e-3, RIGHT_BRANCH_LO)
+        assert np.all(np.diff(origins) >= 0.0)
+        assert origins[c < 0.0].max() < origins[c > 0.0].min()
+        assert np.all(origins[c < 0.0] >= x[c < 0.0])
+        assert np.all(origins[c > 0.0] <= x[c > 0.0])
+    assert np.all(np.diff(travel_time_origins(x, 1.0, speed, 1e-3, RIGHT_BRANCH_LO)) > 0.0)
+    field = characteristics_rindler(PACKET, 1.0, window, strict_window=False)
+    assert np.all(np.isfinite(field.values))
+
+
+def test_travel_time_origin_outside_the_valid_region_is_a_coverage_error():
+    x = WINDOW.grid().points()
+    speed = transport_speed(WINDOW)
+    # points outside the region
+    with pytest.raises(OracleCoverageError):
+        travel_time_origins(x, 1.0, speed, 1e-3, valid_lo=5.0)
+    # origins below valid_lo: the window edge traces out at once
+    with pytest.raises(OracleCoverageError):
+        travel_time_origins(x, 1.0, speed, 1e-3, 4.5, 12.0)
+    # a point on the edge it runs towards
+    with pytest.raises(OracleCoverageError):
+        travel_time_origins(np.array([4.5]), 1.0, speed, 1e-3, 4.5, 12.0)
+
+
+def test_travel_time_past_the_table_edge_is_a_coverage_error():
+    # on the left branch psi' moves faster than light (c_minus > 1): long
+    # horizons ask for travel times past the table's edge at the domain edge
+    window = GridWindow(1.5, 3.0, 128, A1)
+    speed = transport_speed(window)
+    x = window.grid().points()
+    with pytest.raises(OracleCoverageError):
+        travel_time_origins(x, 1.0, speed, 1e-3, 1.5, 3.0)
+    with pytest.raises(OracleCoverageError):
+        travel_time_origins(x, 1.0, speed, 1e-3, (1.0 + 1e-12), 3.0)
+
+
+def test_nan_speed_on_a_crossed_span_is_a_coverage_error():
+    x = np.linspace(4.0, 5.0, 64)
+    # NaN below 3.5, which traces from [4, 5] cross within t = 1
+    speed = lambda X: np.where(X < 3.5, math.nan, 1.0)
+    with pytest.raises(OracleCoverageError):
+        travel_time_origins(x, 1.0, speed, 1e-2)
+    # the same speed is fine over a horizon that stays above 3.5
+    assert np.allclose(travel_time_origins(x, 0.25, speed, 1e-2), x - 0.25, atol=1e-13)
+    with pytest.raises(OracleCoverageError):
+        travel_time_origins(x, 0.25, lambda X: math.nan, 1e-2)
+
+
+def test_points_where_the_speed_vanishes_stay_put():
+    x = np.array([-1.0, 0.0, 1.0])
+    got = travel_time_origins(x, 2.0, lambda X: X, 1e-2, -2.0, 2.0)
+    assert got[1] == 0.0
+    assert np.allclose(got, x * math.exp(-2.0), atol=1e-15)
+
+
+def test_unconverged_newton_inversion_raises(monkeypatch):
+    monkeypatch.setattr(_travel_time, "NEWTON_CAP", 1)
+    x = WINDOW.grid().points()
+    with pytest.raises(OracleCoverageError, match="did not converge"):
+        travel_time_origins(x, 0.5, transport_speed(WINDOW), 1e-3, 3.7, 12.0)
+
+
+def test_halving_the_substep_refines_the_table():
+    # the travel-time route's h and h/2 agree, as the RK4 trace's do
+    x = Grid(4.5, 12.0, 2048).points()
+    speed = transport_speed(GridWindow(3.7, 12.0, 2048, A1))
+    h = default_substep(x, speed)
+    coarse = travel_time_origins(x, 1.0, speed, 4.0 * h, 3.7, 12.0)
+    fine = travel_time_origins(x, 1.0, speed, h, 3.7, 12.0)
+    assert 0.0 < np.max(np.abs(coarse - fine)) <= 1e-11
+
+
+def test_gauss_legendre_table_and_antiderivative():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert np.allclose(_travel_time.GL_NODES, nodes, rtol=0.0, atol=1e-16)
+    assert np.allclose(_travel_time.GL_WEIGHTS, weights, rtol=0.0, atol=1e-16)
+    # from the values of a degree-7 integrand at the nodes, the integral
+    # from -1 to xi and its slope, exactly
+    integrand = np.polynomial.Polynomial(np.random.default_rng(7).standard_normal(8))
+    integral = integrand.integ(lbnd=-1.0)
+    coefficients = (_travel_time.antiderivative() @ integrand(nodes))[None]
+    xi = np.linspace(-1.0, 1.0, 11)
+    value, slope = _travel_time.polynomial(coefficients, np.zeros(xi.size, dtype=int), xi)
+    assert np.allclose(value, integral(xi), rtol=0.0, atol=1e-13)
+    assert np.allclose(slope, integrand(xi), rtol=0.0, atol=1e-13)
+    assert value[-1] == pytest.approx(weights @ integrand(nodes), abs=1e-14)
+
+
+def test_the_cli_does_not_load_the_oracle():
+    # the package imports the oracle on first use of one of its names
+    code = (
+        "import sys, rindlersim, rindlersim.cli\n"
+        "assert 'rindlersim.oracle' not in sys.modules\n"
+        "from rindlersim import characteristics_rindler\n"
+        "assert characteristics_rindler.__module__ == 'rindlersim.oracle'\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
+    with pytest.raises(AttributeError):
+        rindlersim.no_such_name
 
 
 def test_compare_identical_fields():
