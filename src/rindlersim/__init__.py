@@ -15,7 +15,7 @@ The package is organized around six pieces:
 - evolution: method-of-lines transport of the two-component state on a
   validated window, with RK4 time stepping and SBP-SAT boundaries.
 - oracle: exact advection and method-of-characteristics references used
-  to verify the solver (imported on first use).
+  to verify the solver.
 - runner/cli: strict JSON configuration, CSV/JSON serialization and the
   command-line surface (coeffs, singularity, evolve, limits).
 """
@@ -73,18 +73,7 @@ from .hamiltonian import (
     galileo_coefficients,
     ultra_coefficients,
 )
+from .oracle import characteristics_rindler, compare, exact_inertial
 from .runner import SimulationConfig, cmd_coeffs, cmd_evolve, cmd_limits, cmd_singularity, load_config
 
 __version__ = "0.1.0"
-
-# The oracle verifies runs and the CLI never calls it, so it is imported
-# on first use: a CLI process does not load (or compile) it.
-_ORACLE_NAMES = ("characteristics_rindler", "compare", "exact_inertial")
-
-
-def __getattr__(name):
-    if name in _ORACLE_NAMES:
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

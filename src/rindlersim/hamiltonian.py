@@ -76,9 +76,6 @@ _SINGULAR_BRACKET = (1.001, 20.0)
 # Largest u in the domain: u*r and (u + s)(1 - r/2) overflow from about
 # 2.5e305, which would make D and f infinite or NaN.
 U_MAX = 1e305
-# Below these u, (u + 1)(u - 1) and 2 D (u + s) cannot overflow.
-_SQUARE_SAFE = 1e154
-_PRODUCT_SAFE = 1e152
 
 
 @dataclass(frozen=True)
@@ -110,9 +107,8 @@ def hyperbolic_factors(u):
     sqrt(u - 1) sqrt(u + 1) where that product overflows.
     """
     u = np.asarray(u, dtype=float)
-    hi = u.max() if u.size else 1.0
     # the negated form also rejects NaN
-    if u.size and not (u.min() >= 1.0 and hi <= U_MAX):
+    if u.size and not (u.min() >= 1.0 and u.max() <= U_MAX):
         raise CoordinateDomainError(
             f"u = a*x must be finite and lie in [1, {U_MAX:g}] (right-wedge positions only)"
         )
@@ -121,15 +117,12 @@ def hyperbolic_factors(u):
         return s[0], r[0]
     r = u - 1.0
     s = u + 1.0
-    if hi > _SQUARE_SAFE:
-        with np.errstate(over="ignore"):
-            s *= r
-        np.sqrt(s, out=s)
-        big = np.isinf(s)
-        s[big] = np.sqrt(r[big]) * np.sqrt(u[big] + 1.0)
-    else:
+    with np.errstate(over="ignore"):
         s *= r
-        np.sqrt(s, out=s)
+    np.sqrt(s, out=s)
+    big = np.isinf(s)
+    if big.any():
+        s[big] = np.sqrt(r[big]) * np.sqrt(u[big] + 1.0)
     r += s
     np.log1p(r, out=r)
     return s, r
@@ -186,16 +179,12 @@ def coefficient_arrays(
     f *= u_plus_s
     f /= D
     g = np.multiply(2.0, D, out=abs_D)
-    big = None
-    if u.size and u.max() > _PRODUCT_SAFE:
-        with np.errstate(over="ignore"):
-            g *= u_plus_s
-        big = np.isinf(g)
-    else:
+    with np.errstate(over="ignore"):
         g *= u_plus_s
+    big = np.isinf(g)
     np.divide(r, g, out=g)
     np.negative(g, out=g)
-    if big is not None:
+    if big.any():
         # 2 D (u + s) overflowed: divide by its factors in turn
         g[big] = -(r[big] / (2.0 * D[big])) / u_plus_s[big]
     return f, g, D

@@ -96,11 +96,7 @@ def backtrace_origins(
     buffer of its own.
     """
     X = np.array(x, dtype=float)
-
-    def guard(values):
-        return _covered(values, valid_lo, valid_hi)
-
-    guard(X)
+    _covered(X, valid_lo, valid_hi)
     if t == 0.0:
         return X
     n_sub = max(1, int(math.ceil(t / substep - 1e-12)))
@@ -111,16 +107,16 @@ def backtrace_origins(
         c = speed(X)
         np.copyto(acc, c)
         np.subtract(X, np.multiply(half_h, c, out=stage), out=stage)
-        c = speed(guard(stage))
+        c = speed(_covered(stage, valid_lo, valid_hi))
         acc += np.multiply(2.0, c, out=term)
         np.subtract(X, np.multiply(half_h, c, out=stage), out=stage)
-        c = speed(guard(stage))
+        c = speed(_covered(stage, valid_lo, valid_hi))
         acc += np.multiply(2.0, c, out=term)
         np.subtract(X, np.multiply(h, c, out=stage), out=stage)
-        acc += speed(guard(stage))
+        acc += speed(_covered(stage, valid_lo, valid_hi))
         acc *= sixth_h
         X -= acc
-        guard(X)
+        _covered(X, valid_lo, valid_hi)
     return X
 
 
