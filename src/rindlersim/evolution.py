@@ -53,10 +53,9 @@ from .embedding import (
 # wraps these names on this module, so they must stay importable from it.
 from .embedding import correlation, expectation_inertial, expectation_rindler  # noqa: F401
 from .errors import ConfigError, InstabilityError
-from .hamiltonian import COEFFICIENT_CAP, coefficient_arrays, find_singularity
+from .hamiltonian import GALILEO_V_MAX, GALILEO_V_WARN, coefficient_arrays, find_singularity
 
 __all__ = [
-    "DEFAULT_SINGULAR_MARGIN",
     "NORM_GROWTH_TOL",
     "GridWindow",
     "SolverConfig",
@@ -70,8 +69,6 @@ __all__ = [
     "evolve",
 ]
 
-# half-width of the excluded band around the denominator root, in u
-DEFAULT_SINGULAR_MARGIN = 0.05
 # relative rise of ||psi|| over its t = 0 value at which evolve stops
 # the run as unstable; f + g = 1, so the exact norm never rises
 NORM_GROWTH_TOL = 1e-9
@@ -108,8 +105,8 @@ class SolverConfig:
             raise ConfigError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
         if not (0.0 < self.cfl <= 1.0):
             raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.t_final < 0.0:
-            raise ConfigError(f"t_final must be >= 0, got {self.t_final}")
+        if not (0.0 <= self.t_final < math.inf):
+            raise ConfigError(f"t_final must be finite and >= 0, got {self.t_final}")
         if self.snapshot_stride < 1:
             raise ConfigError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
 
@@ -171,52 +168,42 @@ class Generator:
         )
 
 
-def _validate_window(window: GridWindow, margin: float):
+def _validate_window(window: GridWindow):
     if window.n < 64:
         raise ConfigError(f"evolution needs at least 64 grid points, got {window.n}")
     if not window.x_max > window.x_min:
         raise ConfigError(f"empty window [{window.x_min}, {window.x_max}]")
-    a = window.a.a
-    u_lo, u_hi = a * window.x_min, a * window.x_max
-    if u_lo <= 1.0:
+    point = find_singularity(window.a)
+    lo, hi = point.branch(window.a, window.x_min)
+    if not (lo <= window.x_min and window.x_max <= hi):
         raise ConfigError(
-            f"window reaches u = a*x = {u_lo:.6g} <= 1; positions must satisfy a*x > 1"
-        )
-    u_star = find_singularity(window.a).u_star
-    if not (u_hi < u_star - margin or u_lo > u_star + margin):
-        raise ConfigError(
-            f"window [{u_lo:.6g}, {u_hi:.6g}] in u overlaps the singular band "
-            f"{u_star:.6g} +- {margin}"
+            f"window [{window.x_min:.6g}, {window.x_max:.6g}] must lie in "
+            f"[{lo:.6g}, {hi:.6g}], its side of the singular band at "
+            f"u = a*x = {point.u_star:.6g} (with a*x > 1)"
         )
 
 
 def build_generator(
-    window: GridWindow,
-    mode: str = "exact",
-    delta: float | None = None,
-    margin: float = DEFAULT_SINGULAR_MARGIN,
+    window: GridWindow, mode: str = "exact", delta: float | None = None
 ) -> Generator:
     """Sample the coefficients of a mode of hamiltonian.coefficient_arrays
-    over a validated window, which must keep |f| <= COEFFICIENT_CAP and,
-    in 'galileo' mode, |v| <= 0.2 (warning beyond 0.1)."""
-    _validate_window(window, margin)
+    over a validated window, which must lie on one side of the singular
+    band (hamiltonian.SingularPoint.branch) and, in 'galileo' mode, keep
+    |v| <= GALILEO_V_MAX (warning beyond GALILEO_V_WARN).  There every
+    mode keeps |f| below 4."""
+    _validate_window(window)
     x = np.linspace(window.x_min, window.x_max, window.n)
     f, g, _ = coefficient_arrays(window.a.a * x, mode, delta)
-    if np.max(np.abs(f)) > COEFFICIENT_CAP:
-        raise ConfigError(
-            f"|f| exceeds the coefficient cap {COEFFICIENT_CAP} inside the window; "
-            "move the window further from the singularity"
-        )
     if mode == "galileo":
         v_max = 2.0 * np.max(np.abs(g))  # this mode's g is -v/2
-        if v_max > 0.2:
+        if v_max > GALILEO_V_MAX:
             raise ConfigError(
-                f"small-velocity mode needs |v| <= 0.2 everywhere; window reaches "
-                f"v = {v_max:.4g}"
+                f"small-velocity mode needs |v| <= {GALILEO_V_MAX} everywhere; window "
+                f"reaches v = {v_max:.4g}"
             )
-        if v_max > 0.1:
+        if v_max > GALILEO_V_WARN:
             warnings.warn(
-                "small-velocity approximation is marginal beyond |v| = 0.1",
+                f"small-velocity approximation is marginal beyond |v| = {GALILEO_V_WARN}",
                 stacklevel=2,
             )
 

@@ -14,10 +14,11 @@ in terms of which the closed forms read
 so that f + g = 1 identically: the inertial combination psi_e + psi_o
 keeps obeying the original massless transport equation.  D has a single
 root u_star ~ 3.624 where the even/odd system cannot be inverted into
-Dirac-like form; coefficients are undefined inside a small margin
-around it.  r is evaluated as log1p((u - 1) + s) and g in its last form,
-which avoid the cancellations in arctanh(s/u) and s - u, so f and g keep
-full accuracy from u = 1 + 1e-12 up.  The domain ends at U_MAX = 1e305,
+Dirac-like form; windows and characteristic traces keep to one side of
+the band u_star +- SINGULAR_MARGIN (`SingularPoint.branch`).  r is
+evaluated as log1p((u - 1) + s) and g in its last form, which avoid the
+cancellations in arctanh(s/u) and s - u, so f and g keep full accuracy
+from u = 1 + 1e-12 up.  The domain ends at U_MAX = 1e305,
 below the overflow of u*r; products that overflow earlier (u^2 - 1 from
 u ~ 1.3e154, D (u + s) from u ~ 3.6e152) are taken apart there.
 
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import Acceleration
+from .coords import Acceleration, u_of_delta
 from .errors import ConfigError, CoordinateDomainError, SingularityError
 
 __all__ = [
@@ -47,6 +48,9 @@ __all__ = [
     "SingularPoint",
     "SINGULAR_EPS",
     "COEFFICIENT_CAP",
+    "SINGULAR_MARGIN",
+    "GALILEO_V_MAX",
+    "GALILEO_V_WARN",
     "ULTRA_SINGULAR_MARGIN",
     "U_MAX",
     "hyperbolic_factors",
@@ -64,8 +68,13 @@ __all__ = [
 
 # |D| at or below this is treated as singular.
 SINGULAR_EPS = 1e-9
-# window validation additionally rejects |f| above this cap
+# the coefficient scan flags rows with |f| above this cap
 COEFFICIENT_CAP = 10.0
+# half-width of the excluded band around the denominator root, in u
+SINGULAR_MARGIN = 0.05
+# |v| above MAX is outside the small-velocity limit, above WARN marginal
+GALILEO_V_MAX = 0.2
+GALILEO_V_WARN = 0.1
 # minimum allowed distance of log(delta/2) from the singular value -4
 ULTRA_SINGULAR_MARGIN = 0.5
 
@@ -95,6 +104,17 @@ class SingularPoint:
     u_star: float
     x_star: float
     v_star: float
+
+    def branch(self, a: Acceleration, x: float) -> tuple[float, float]:
+        """The closed x-interval of x's side of the singular band, where
+        windows and characteristic traces may lie at acceleration a.  The
+        1e-12 keeps a*x inside [1, U_MAX] at either end of the wedge, as
+        a*(1/a) can round below 1 (a = 49) and a*(U_MAX/a) above U_MAX
+        (a = 1.1)."""
+        a = a.a
+        if a * x > self.u_star:
+            return (self.u_star + SINGULAR_MARGIN) / a, U_MAX * (1.0 - 1e-12) / a
+        return (1.0 + 1e-12) / a, (self.u_star - SINGULAR_MARGIN) / a
 
 
 def hyperbolic_factors(u):
@@ -190,13 +210,13 @@ def coefficient_arrays(
     return f, g, D
 
 
-def coefficients(u: float, eps: float = SINGULAR_EPS) -> CoefficientPoint:
+def coefficients(u: float) -> CoefficientPoint:
     """Closed-form generator coefficients at a single position u >= 1."""
-    f, g, D = coefficient_arrays(float(u), eps=eps)
+    f, g, D = coefficient_arrays(float(u))
     return CoefficientPoint(u=float(u), f=float(f), g=float(g), denominator=float(D))
 
 
-def coefficients_via_inversion(u: float, eps: float = SINGULAR_EPS) -> CoefficientPoint:
+def coefficients_via_inversion(u: float) -> CoefficientPoint:
     """Generator coefficients derived by inverting the even/odd operator system.
 
     The even/odd split of the time and space derivatives expands as
@@ -223,7 +243,7 @@ def coefficients_via_inversion(u: float, eps: float = SINGULAR_EPS) -> Coefficie
     A = np.array([[a_even, a_odd], [a_odd, a_even]])
     B = np.array([[b_even, b_odd], [b_odd, b_even]])
     det = float(np.linalg.det(A))
-    if abs(det) <= eps:
+    if abs(det) <= SINGULAR_EPS:
         raise SingularityError(
             f"even/odd time-derivative matrix is singular at u = {u} (det = {det})"
         )
@@ -233,8 +253,9 @@ def coefficients_via_inversion(u: float, eps: float = SINGULAR_EPS) -> Coefficie
     return CoefficientPoint(u=u, f=f, g=g, denominator=det)
 
 
-def bisect(fn, lo: float, hi: float, xtol: float = 1e-12, max_iter: int = 200) -> float:
-    """Bisection root of fn on [lo, hi]; requires a sign change."""
+def bisect(fn, lo: float, hi: float) -> float:
+    """Bisection root of fn on [lo, hi] to within 1e-12, in at most 200
+    halvings; requires a sign change."""
     flo, fhi = fn(lo), fn(hi)
     if flo == 0.0:
         return lo
@@ -242,10 +263,10 @@ def bisect(fn, lo: float, hi: float, xtol: float = 1e-12, max_iter: int = 200) -
         return hi
     if flo * fhi > 0.0:
         raise ValueError(f"no sign change of target function on [{lo}, {hi}]")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = fn(mid)
-        if fm == 0.0 or (hi - lo) < xtol:
+        if fm == 0.0 or (hi - lo) < 1e-12:
             return mid
         if flo * fm < 0.0:
             hi, fhi = mid, fm
@@ -260,7 +281,7 @@ def find_singularity(a: Acceleration) -> SingularPoint:
     Also reports the physical position x_star = u_star / a and the
     boost velocity there, v_star = sqrt(1 - 1/u_star^2).
     """
-    u_star = bisect(denominator, *_SINGULAR_BRACKET, xtol=1e-12)
+    u_star = bisect(denominator, *_SINGULAR_BRACKET)
     v_star = math.sqrt(1.0 - 1.0 / (u_star * u_star))
     return SingularPoint(u_star=u_star, x_star=u_star / a.a, v_star=v_star)
 
@@ -268,36 +289,36 @@ def find_singularity(a: Acceleration) -> SingularPoint:
 def galileo_coefficients(v: float) -> CoefficientPoint:
     """Small-velocity limit f = 1 + v/2, g = -v/2.
 
-    Valid for |v| << 1; enforced up to |v| <= 0.2 with a warning beyond
-    0.1.  The denominator concept does not apply in this regime, so the
-    returned point carries NaN there.
+    Valid for |v| << 1; enforced up to |v| <= GALILEO_V_MAX with a
+    warning beyond GALILEO_V_WARN.  The denominator concept does not
+    apply in this regime, so the returned point carries NaN there.
     """
-    if abs(v) > 0.2:
+    if abs(v) > GALILEO_V_MAX:
         raise CoordinateDomainError(
-            f"small-velocity coefficients need |v| <= 0.2, got {v}"
+            f"small-velocity coefficients need |v| <= {GALILEO_V_MAX}, got {v}"
         )
-    if abs(v) > 0.1:
+    if abs(v) > GALILEO_V_WARN:
         warnings.warn(
-            f"small-velocity approximation is marginal at |v| = {abs(v)} > 0.1",
+            f"small-velocity approximation is marginal at |v| = {abs(v)} > {GALILEO_V_WARN}",
             stacklevel=2,
         )
     u = 1.0 / math.sqrt((1.0 - v) * (1.0 + v))
     return CoefficientPoint(u=u, f=1.0 + v / 2.0, g=-v / 2.0, denominator=math.nan)
 
 
-def ultra_f_delta(delta: float, margin: float = ULTRA_SINGULAR_MARGIN) -> float:
+def ultra_f_delta(delta: float) -> float:
     """Expansion coefficient f(delta) = -delta / (2 (1 + 4/log(delta/2))).
 
     delta = 1 - v must stay away from the singular value where
-    log(delta/2) = -4; `margin` bounds |log(delta/2) + 4| from below.
+    log(delta/2) = -4: |log(delta/2) + 4| must exceed ULTRA_SINGULAR_MARGIN.
     """
     if not (0.0 < delta < 1.0):
         raise CoordinateDomainError(f"delta must lie in (0, 1), got {delta}")
     log_half = math.log(delta / 2.0)
-    if abs(log_half + 4.0) <= margin:
+    if abs(log_half + 4.0) <= ULTRA_SINGULAR_MARGIN:
         raise SingularityError(
             f"delta = {delta} is within the singular margin: |log(delta/2) + 4| = "
-            f"{abs(log_half + 4.0):.3g} <= {margin}"
+            f"{abs(log_half + 4.0):.3g} <= {ULTRA_SINGULAR_MARGIN}"
         )
     return -delta / (2.0 * (1.0 + 4.0 / log_half))
 
@@ -307,15 +328,12 @@ def ultra_f_delta_coarse(delta: float) -> float:
     return -delta / 2.0
 
 
-def ultra_coefficients(
-    delta: float, margin: float = ULTRA_SINGULAR_MARGIN
-) -> CoefficientPoint:
+def ultra_coefficients(delta: float) -> CoefficientPoint:
     """Near-light-speed limit f = 1 + f_delta, g = -f_delta.
 
     As delta -> 0 this reduces to the trivial generator (f, g) = (1, 0):
     at v = 1 the frame change is an ordinary time-independent boost and
     leaves the transport dynamics invariant.
     """
-    fd = ultra_f_delta(delta, margin=margin)
-    u = 1.0 / math.sqrt(delta * (2.0 - delta))
-    return CoefficientPoint(u=u, f=1.0 + fd, g=-fd, denominator=math.nan)
+    fd = ultra_f_delta(delta)
+    return CoefficientPoint(u=u_of_delta(delta), f=1.0 + fd, g=-fd, denominator=math.nan)

@@ -34,7 +34,7 @@ import numpy as np
 from . import _travel_time
 from .embedding import Grid, ScalarField
 from .errors import GridMismatchError
-from .evolution import DEFAULT_SINGULAR_MARGIN, GridWindow, WavepacketSpec
+from .evolution import GridWindow, WavepacketSpec
 from .hamiltonian import coefficient_arrays, find_singularity
 
 __all__ = [
@@ -99,7 +99,7 @@ def backtrace_origins(
     _covered(X, valid_lo, valid_hi)
     if t == 0.0:
         return X
-    n_sub = max(1, int(math.ceil(t / substep - 1e-12)))
+    n_sub = max(1, int(math.ceil(abs(t) / substep - 1e-12)))
     h = t / n_sub
     half_h, sixth_h = 0.5 * h, h / 6.0
     stage, acc, term = np.empty_like(X), np.empty_like(X), np.empty_like(X)
@@ -173,7 +173,6 @@ def characteristics_rindler(
     substep: float | None = None,
     grid: Grid | None = None,
     strict_window: bool = True,
-    margin: float = DEFAULT_SINGULAR_MARGIN,
 ) -> ScalarField:
     """Reference accelerated-frame field psi'(x, t): the packet at the
     origins from `travel_time_origins`.
@@ -183,13 +182,13 @@ def characteristics_rindler(
     it.  With strict_window=True a trace leaving the window raises
     OracleCoverageError (shrink t, or enlarge the window relative to
     the output grid so upstream origins stay covered).  With
-    strict_window=False traces may roam wherever the coefficients are
-    valid: the same side of the singular band as the window, at
-    positions with a*x > 1.  substep sets the resolution of the travel-
-    time table; the default, a quarter of the CFL-limited solver step
-    at cfl = 1, dx / (4 max|c|), gives origins within about 1e-13 of a
-    converged RK4 trace on the demos/04 geometry, and halving it is a
-    convergence check of the same route.
+    strict_window=False traces may roam over the window's side of the
+    singular band: the interval hamiltonian.SingularPoint.branch gives,
+    to which build_generator holds windows too.  substep sets the
+    resolution of the travel-time table; the default, a quarter of the
+    CFL-limited solver step at cfl = 1, dx / (4 max|c|), gives origins
+    within about 1e-13 of a converged RK4 trace on the demos/04
+    geometry, and halving it is a convergence check of the same route.
     """
     grid = window.grid() if grid is None else grid
     speed = transport_speed(window, mode=mode, delta=delta)
@@ -200,12 +199,7 @@ def characteristics_rindler(
     if strict_window:
         lo, hi = window.x_min, window.x_max
     else:
-        a = window.a.a
-        u_star = find_singularity(window.a).u_star
-        if window.a.a * window.x_min > u_star:
-            lo, hi = (u_star + margin) / a, math.inf
-        else:
-            lo, hi = (1.0 + 1e-12) / a, (u_star - margin) / a
+        lo, hi = find_singularity(window.a).branch(window.a, window.x_min)
     origins = travel_time_origins(
         grid.points(), t, speed, substep, valid_lo=lo, valid_hi=hi
     )

@@ -488,8 +488,9 @@ def test_solver_config_validation():
         SolverConfig(cfl=1.5)
     with pytest.raises(ConfigError):
         SolverConfig(scheme="spectral")
-    with pytest.raises(ConfigError):
-        SolverConfig(t_final=-1.0)
+    for t_final in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            SolverConfig(t_final=t_final)
     with pytest.raises(ConfigError):
         SolverConfig(snapshot_stride=0)
     with pytest.raises(ConfigError):

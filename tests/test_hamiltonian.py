@@ -8,6 +8,7 @@ from rindlersim.coords import Acceleration
 from rindlersim.errors import CoordinateDomainError, SingularityError
 from rindlersim.hamiltonian import (
     COEFFICIENT_CAP,
+    ULTRA_SINGULAR_MARGIN,
     U_MAX,
     bisect,
     coefficient_arrays,
@@ -234,6 +235,30 @@ def test_both_paths_blow_up_consistently_near_the_root():
         coefficients(U_STAR)
     with pytest.raises(SingularityError):
         coefficients_via_inversion(U_STAR)
+
+
+def test_f_stays_below_the_cap_on_both_sides_of_the_singular_band():
+    # build_generator has no |f| cap check: outside the singular band no
+    # mode comes near COEFFICIENT_CAP, so none is needed
+    a = Acceleration(1.0)
+    point = find_singularity(a)
+    (lo, left_hi), (right_lo, hi) = point.branch(a, 2.0), point.branch(a, 10.0)
+    near = np.geomspace(1e-12, 1.0, 2000)  # distance from a band edge
+    u = np.concatenate((
+        np.geomspace(lo, left_hi, 2000), left_hi - near, right_lo + near,
+        np.geomspace(right_lo, hi, 5000),
+    ))
+    f, _, _ = coefficient_arrays(u)
+    assert np.max(np.abs(f)) < COEFFICIENT_CAP
+    # ultra, for delta in (0, 1) outside |log(delta/2) + 4| <= its margin
+    edges = [-4.0 - ULTRA_SINGULAR_MARGIN, -4.0 + ULTRA_SINGULAR_MARGIN]
+    log_half = np.concatenate((
+        np.linspace(-700.0, math.log(0.5) - 1e-15, 20001),
+        np.nextafter(edges, [-math.inf, math.inf]),
+    ))
+    log_half = log_half[np.abs(log_half + 4.0) > ULTRA_SINGULAR_MARGIN]
+    f = [1.0 + ultra_f_delta(2.0 * math.exp(value)) for value in log_half]
+    assert np.max(np.abs(f)) < COEFFICIENT_CAP
 
 
 def test_find_singularity():

@@ -10,12 +10,7 @@ from rindlersim import _travel_time
 from rindlersim.coords import Acceleration
 from rindlersim.embedding import Grid, ScalarField
 from rindlersim.errors import ConfigError, GridMismatchError, OracleCoverageError
-from rindlersim.evolution import (
-    DEFAULT_SINGULAR_MARGIN,
-    GridWindow,
-    WavepacketSpec,
-    build_generator,
-)
+from rindlersim.evolution import GridWindow, WavepacketSpec, build_generator
 from rindlersim.hamiltonian import find_singularity
 from rindlersim.oracle import (
     backtrace_origins,
@@ -156,6 +151,36 @@ def test_left_branch_traces_hit_the_domain_edge():
         characteristics_rindler(packet, 1.0, window, strict_window=False)
 
 
+@pytest.mark.parametrize("a", [0.1, 1.0, 1.1, 3.0, 49.0])
+def test_windows_the_solver_accepts_are_covered_by_the_relaxed_oracle(a):
+    # one rule for both: on every window build_generator accepts, the
+    # oracle with strict_window=False returns the packet itself at t = 0.
+    # Each window has one edge at, just below or just above a branch end.
+    acc = Acceleration(a)
+    point = find_singularity(acc)
+    windows = []
+    for branch in (point.branch(acc, 2.0 / a), point.branch(acc, 10.0 / a)):
+        for end in branch:
+            for x in (np.nextafter(end, 0.0), end, np.nextafter(end, math.inf)):
+                windows += [(x, x + 1.0 / a), (x / 2.0, x)]
+    packet = WavepacketSpec(x0=1.0, sigma=1.0)
+    accepted = 0
+    for x_min, x_max in windows:
+        window = GridWindow(x_min, x_max, 64, acc)
+        try:
+            build_generator(window)
+        except ConfigError:
+            continue
+        accepted += 1
+        # (x - x0)^2 overflows out at U_MAX / a, where the packet is 0
+        with np.errstate(over="ignore"):
+            got = characteristics_rindler(packet, 0.0, window, strict_window=False)
+            assert np.array_equal(got.values, packet.evaluate(window.grid().points()))
+    # x_min at and above the lower end of each branch, x_max at and below
+    # the upper end of each
+    assert accepted == 8
+
+
 def reference_backtrace(x, t, speed, substep, valid_lo=-math.inf, valid_hi=math.inf):
     """Plain allocating RK4 on k = -speed(X), as the oracle first traced."""
     X = np.array(x, dtype=float)
@@ -266,7 +291,7 @@ def test_nan_speed_is_a_coverage_error():
 
 # Lower edge of the right branch, as characteristics_rindler sets it with
 # strict_window=False.
-RIGHT_BRANCH_LO = find_singularity(A1).u_star + DEFAULT_SINGULAR_MARGIN
+RIGHT_BRANCH_LO = find_singularity(A1).branch(A1, 5.0)[0]
 
 
 def default_substep(x, speed):
@@ -309,6 +334,10 @@ def route_cases():
             (4.5, 12.0),
         ),
         "t-zero": (WINDOW.grid().points(), 0.0, transport_speed(WINDOW), (4.5, 12.0)),
+        # t < 0: the traces run downstream, to higher x
+        "negative-t": (
+            WINDOW.grid().points()[100:400], -1.0, transport_speed(WINDOW), (4.5, 12.0)
+        ),
     }
 
 
