@@ -128,7 +128,10 @@ class WavepacketSpec:
 
     def evaluate(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        envelope = np.exp(-((x - self.x0) ** 2) / (2.0 * self.sigma**2))
+        # (x - x0)^2 overflows to inf beyond |x - x0| ~ 1e154, where
+        # exp(-inf) = 0 is the packet's value
+        with np.errstate(over="ignore"):
+            envelope = np.exp(-((x - self.x0) ** 2) / (2.0 * self.sigma**2))
         return self.amplitude * envelope * np.exp(1j * self.k0 * x)
 
     def check_window(self, window: GridWindow):

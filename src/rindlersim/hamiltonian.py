@@ -287,19 +287,20 @@ def find_singularity(a: Acceleration) -> SingularPoint:
 
 
 def galileo_coefficients(v: float) -> CoefficientPoint:
-    """Small-velocity limit f = 1 + v/2, g = -v/2.
+    """Small-velocity limit f = 1 + v/2, g = -v/2 at u = 1/sqrt(1 - v^2).
 
-    Valid for |v| << 1; enforced up to |v| <= GALILEO_V_MAX with a
-    warning beyond GALILEO_V_WARN.  The denominator concept does not
-    apply in this regime, so the returned point carries NaN there.
+    Valid for 0 <= v << 1: u(v) = u(-v), and the exact coefficients at
+    u belong to v = s/u >= 0.  Enforced for 0 <= v <= GALILEO_V_MAX,
+    with a warning beyond GALILEO_V_WARN.  The denominator concept does
+    not apply in this regime, so the returned point carries NaN there.
     """
-    if abs(v) > GALILEO_V_MAX:
+    if not (0.0 <= v <= GALILEO_V_MAX):
         raise CoordinateDomainError(
-            f"small-velocity coefficients need |v| <= {GALILEO_V_MAX}, got {v}"
+            f"small-velocity coefficients need 0 <= v <= {GALILEO_V_MAX}, got {v}"
         )
-    if abs(v) > GALILEO_V_WARN:
+    if v > GALILEO_V_WARN:
         warnings.warn(
-            f"small-velocity approximation is marginal at |v| = {abs(v)} > {GALILEO_V_WARN}",
+            f"small-velocity approximation is marginal at v = {v} > {GALILEO_V_WARN}",
             stacklevel=2,
         )
     u = 1.0 / math.sqrt((1.0 - v) * (1.0 + v))

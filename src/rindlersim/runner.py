@@ -18,7 +18,7 @@ writes a file does not change its bytes.
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -60,9 +60,7 @@ SNAPSHOT_HEADER = (
 )
 
 _SCHEME_ALIASES = {
-    "central4": "central4",
     "central-4th-order": "central4",
-    "upwind1": "upwind1",
     "upwind-1st-order": "upwind1",
 }
 
@@ -104,12 +102,7 @@ class SimulationConfig:
                 "x_max": self.window.x_max,
                 "N": self.window.n,
             },
-            "packet": {
-                "x0": self.packet.x0,
-                "sigma": self.packet.sigma,
-                "k0": self.packet.k0,
-                "amplitude": self.packet.amplitude,
-            },
+            "packet": asdict(self.packet),
             "time": {
                 "t_final": self.solver.t_final,
                 "cfl": self.solver.cfl,
@@ -121,13 +114,18 @@ class SimulationConfig:
         return d
 
 
-def _require_keys(section: dict, allowed: set, required: set, where: str):
+def _require_keys(section, allowed: set, required: set, where: str) -> dict:
+    """section, once it is checked to be a JSON object with no field
+    outside allowed and every field in required."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown field(s) {sorted(unknown)} in {where}")
     missing = required - set(section)
     if missing:
         raise ConfigError(f"missing field(s) {sorted(missing)} in {where}")
+    return section
 
 
 def _as_number(value, where: str) -> float:
@@ -145,21 +143,18 @@ def _as_int(value, where: str) -> int:
 
 
 def load_config(source) -> SimulationConfig:
-    """Build a validated SimulationConfig from a dict, JSON text path or
-    file object.  Fails closed: unknown fields and text that is not
-    JSON are errors."""
+    """Build a validated SimulationConfig from a dict or a path to JSON
+    text.  Fails closed: unknown fields, sections that are not objects
+    and text that is not JSON are errors.  Omitted optional fields take
+    the defaults of WavepacketSpec and SolverConfig."""
     try:
         if isinstance(source, (str, os.PathLike)):
             with open(source, "r", encoding="utf-8") as handle:
                 raw = json.load(handle)
-        elif hasattr(source, "read"):
-            raw = json.load(source)
         else:
             raw = source
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("configuration root must be a JSON object")
 
     _require_keys(
         raw,
@@ -173,8 +168,7 @@ def load_config(source) -> SimulationConfig:
         raise ConfigError(f"a must be positive, got {a_val}")
     a = Acceleration(a_val)
 
-    win = raw["window"]
-    _require_keys(win, {"x_min", "x_max", "N"}, {"x_min", "x_max", "N"}, "window")
+    win = _require_keys(raw["window"], {"x_min", "x_max", "N"}, {"x_min", "x_max", "N"}, "window")
     window = GridWindow(
         x_min=_as_number(win["x_min"], "window.x_min"),
         x_max=_as_number(win["x_max"], "window.x_max"),
@@ -182,22 +176,20 @@ def load_config(source) -> SimulationConfig:
         a=a,
     )
 
-    pk = raw["packet"]
-    _require_keys(pk, {"x0", "sigma", "k0", "amplitude"}, {"x0", "sigma"}, "packet")
-    packet = WavepacketSpec(
-        x0=_as_number(pk["x0"], "packet.x0"),
-        sigma=_as_number(pk["sigma"], "packet.sigma"),
-        k0=_as_number(pk.get("k0", 0.0), "packet.k0"),
-        amplitude=_as_number(pk.get("amplitude", 1.0), "packet.amplitude"),
-    )
+    pk = _require_keys(raw["packet"], {"x0", "sigma", "k0", "amplitude"}, {"x0", "sigma"}, "packet")
+    packet = WavepacketSpec(**{key: _as_number(pk[key], f"packet.{key}") for key in pk})
 
-    tm = raw["time"]
-    _require_keys(tm, {"t_final", "cfl", "snapshot_stride"}, {"t_final"}, "time")
-    scheme_raw = raw.get("scheme", {})
-    _require_keys(scheme_raw, {"derivative", "boundary"}, set(), "scheme")
-    derivative = scheme_raw.get("derivative", "central4")
-    if derivative not in _SCHEME_ALIASES:
-        raise ConfigError(f"unknown derivative scheme {derivative!r}")
+    tm = _require_keys(raw["time"], {"t_final", "cfl", "snapshot_stride"}, {"t_final"}, "time")
+    solver_args = {
+        key: (_as_int if key == "snapshot_stride" else _as_number)(tm[key], f"time.{key}")
+        for key in tm
+    }
+    scheme_raw = _require_keys(raw.get("scheme", {}), {"derivative", "boundary"}, set(), "scheme")
+    if "derivative" in scheme_raw:
+        derivative = scheme_raw["derivative"]
+        if not isinstance(derivative, str):
+            raise ConfigError(f"scheme.derivative must be a string, got {derivative!r}")
+        solver_args["scheme"] = _SCHEME_ALIASES.get(derivative, derivative)
     # "sponge" is the old name of the one boundary treatment, SBP-SAT
     boundary = scheme_raw.get("boundary", "sponge")
     if boundary != "sponge":
@@ -205,31 +197,20 @@ def load_config(source) -> SimulationConfig:
             f"boundary must be 'sponge' (the SBP-SAT closure), got {boundary!r}. "
             "Periodic boundaries were removed."
         )
-    solver = SolverConfig(
-        scheme=_SCHEME_ALIASES[derivative],
-        cfl=_as_number(tm.get("cfl", 0.5), "time.cfl"),
-        t_final=_as_number(tm["t_final"], "time.t_final"),
-        snapshot_stride=_as_int(tm.get("snapshot_stride", 1), "time.snapshot_stride"),
-    )
+    solver = SolverConfig(**solver_args)
 
     mode_raw = raw.get("mode", "exact")
-    delta = None
     if isinstance(mode_raw, str):
-        mode = mode_raw
-    elif isinstance(mode_raw, dict):
-        _require_keys(mode_raw, {"kind", "delta"}, {"kind"}, "mode")
-        mode = mode_raw["kind"]
-        if "delta" in mode_raw:
-            delta = _as_number(mode_raw["delta"], "mode.delta")
-    else:
-        raise ConfigError(f"mode must be a string or object, got {mode_raw!r}")
+        mode_raw = {"kind": mode_raw}
+    _require_keys(mode_raw, {"kind", "delta"}, {"kind"}, "mode (a string or object)")
+    delta = _as_number(mode_raw["delta"], "mode.delta") if "delta" in mode_raw else None
 
     output_dir = raw.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError("output_dir must be a string path")
 
     # validates the window and the mode before any run starts
-    generator = build_generator(window, mode=mode, delta=delta)
+    generator = build_generator(window, mode=mode_raw["kind"], delta=delta)
     return SimulationConfig(
         generator=generator, packet=packet, solver=solver, output_dir=output_dir
     )
@@ -255,9 +236,7 @@ def _write_snapshot(path, x, state):
     table[:, 0] = x
     # a C-ordered (N, 4) complex array viewed as floats is (N, 8): Re, Im, ...
     table[:, 1:] = np.stack((even, odd, even + odd, even - odd), axis=1).view(float)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(SNAPSHOT_HEADER + "\n")
-        handle.writelines(",".join(map(repr, row)) + "\n" for row in table.tolist())
+    _write_csv(path, SNAPSHOT_HEADER, (map(repr, row) for row in table.tolist()))
 
 
 def _writer_count(n_files: int) -> int:
@@ -362,26 +341,16 @@ def cmd_singularity(a: Acceleration) -> dict:
     }
 
 
-def _complex_dict(z: complex) -> dict:
-    return {"im": z.imag, "re": z.real}
-
-
 def _report_payload(config: SimulationConfig, result: EvolutionResult) -> dict:
     rows = []
     for row in result.report:
-        rows.append(
-            {
-                "t": row.t,
-                "norm_even": row.norm_even,
-                "norm_odd": row.norm_odd,
-                "norm_inertial": row.norm_inertial,
-                "norm_rindler": row.norm_rindler,
-                "x_inertial": row.x_inertial,
-                "x_rindler": row.x_rindler,
-                "corr_identity": _complex_dict(row.corr_identity),
-                "corr_position": _complex_dict(row.corr_position),
-            }
-        )
+        entry = {}
+        for field in fields(row):
+            value = getattr(row, field.name)
+            if isinstance(value, complex):
+                value = {"im": value.imag, "re": value.real}
+            entry[field.name] = value
+        rows.append(entry)
     return {"config": config.physics_dict(), "rows": rows}
 
 

@@ -441,6 +441,11 @@ def test_packet_outside_window_is_rejected():
         evolve(WavepacketSpec(x0=20.0, sigma=0.3), build_generator(WINDOW), solver)
 
 
+def test_packet_far_from_its_center_is_zero_without_warning():
+    # (x - x0)^2 overflows here; exp(-inf) = 0 is the value
+    assert WavepacketSpec(6.0, 0.3).evaluate([1e200]).tolist() == [0j]
+
+
 def test_marginal_packet_warns():
     solver = SolverConfig(t_final=0.0)
     with pytest.warns(UserWarning):

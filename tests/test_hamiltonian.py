@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from rindlersim.cli import main
 from rindlersim.coords import Acceleration
 from rindlersim.errors import CoordinateDomainError, SingularityError
 from rindlersim.hamiltonian import (
@@ -300,11 +301,15 @@ def test_galileo_coefficients():
     assert p.g == pytest.approx(-0.05, abs=1e-15)
 
 
-def test_galileo_warning_and_domain():
+def test_galileo_warning_and_domain(tmp_path):
     with pytest.warns(UserWarning):
         galileo_coefficients(0.15)
-    with pytest.raises(CoordinateDomainError):
-        galileo_coefficients(0.25)
+    # u(v) = u(-v), and the exact coefficients there belong to v >= 0
+    for v in (0.25, -0.05):
+        with pytest.raises(CoordinateDomainError):
+            galileo_coefficients(v)
+    out = str(tmp_path / "l.csv")
+    assert main(["limits", "--regime", "galileo", "--values", "-0.05", "--out", out]) == 2
 
 
 def test_galileo_limit_bound():

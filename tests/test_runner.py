@@ -121,6 +121,34 @@ def test_scheme_aliases(tmp_path):
     assert load_config(raw).solver.scheme == "upwind1"
 
 
+@pytest.mark.parametrize(
+    "section, value, message",
+    [
+        (None, [standard_config("out")], "configuration must be a JSON object"),
+        ("window", 5, "window must be a JSON object"),
+        ("packet", None, "packet must be a JSON object"),
+        ("time", [1, 2], "time must be a JSON object"),
+        ("scheme", "central4", "scheme must be a JSON object"),
+        ("scheme", {"derivative": ["x"]}, "scheme.derivative must be a string"),
+    ],
+    ids=["root-list", "window-number", "packet-null", "time-list", "scheme-string",
+         "derivative-list"],
+)
+def test_malformed_sections_are_config_errors(tmp_path, capsys, section, value, message):
+    raw = standard_config(tmp_path / "out")
+    if section is None:
+        raw = value
+    else:
+        raw[section] = value
+    with pytest.raises(ConfigError, match=message):
+        load_config(raw)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["evolve", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 def test_boundary_accepts_only_sponge(tmp_path):
     # "sponge" names the SBP-SAT closure; the periodic mode is gone
     raw = standard_config(tmp_path)
