@@ -1,9 +1,9 @@
 """Command-line interface with the subcommands coeffs, singularity,
 evolve and limits.
 
-Exit codes: 0 on success, 2 for configuration or validation problems
-and for files that cannot be read or written, 3 for numerical
-instability during a run.
+Exit codes: 0 on success, 3 for numerical instability during a run
+(InstabilityError), and 2 for every other error the package raises
+(RindlerSimError) and for files that cannot be read or written.
 """
 
 import argparse
@@ -11,23 +11,8 @@ import json
 import sys
 
 from .coords import Acceleration
-from .errors import (
-    ConfigError,
-    CoordinateDomainError,
-    GridMismatchError,
-    InstabilityError,
-    OracleCoverageError,
-    SingularityError,
-)
+from .errors import ConfigError, InstabilityError, RindlerSimError
 from .runner import cmd_coeffs, cmd_evolve, cmd_limits, cmd_singularity, load_config
-
-_VALIDATION_ERRORS = (
-    ConfigError,
-    CoordinateDomainError,
-    SingularityError,
-    GridMismatchError,
-    OracleCoverageError,
-)
 
 
 def _parse_values(raw: str) -> list:
@@ -114,12 +99,12 @@ def main(argv=None) -> int:
         elif args.command == "limits":
             cmd_limits(args.regime, _parse_values(args.values), args.out)
             print(f"wrote {args.out}")
-    except (*_VALIDATION_ERRORS, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InstabilityError as exc:
         print(f"instability: {exc}", file=sys.stderr)
         return 3
+    except (RindlerSimError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

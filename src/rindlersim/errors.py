@@ -2,7 +2,9 @@
 
 
 class RindlerSimError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.  The command
+    line maps every one of them to exit code 2, except InstabilityError,
+    which exits 3."""
 
 
 class CoordinateDomainError(RindlerSimError, ValueError):
@@ -26,8 +28,8 @@ class ConfigError(RindlerSimError, ValueError):
 
 
 class InstabilityError(RindlerSimError, ArithmeticError):
-    """Non-finite values appeared during time stepping or in the
-    observables of a snapshot, or the norm of the inertial field psi
+    """The observables of a snapshot are not finite, or the norm of the
+    inertial field psi that the scheme bounds (the SBP norm for central4)
     grew past its initial value at a snapshot.  Maps to exit code 3."""
 
     def __init__(self, step_index: int, message: str = ""):

@@ -330,11 +330,13 @@ def ultra_f_delta_coarse(delta: float) -> float:
 
 
 def ultra_coefficients(delta: float) -> CoefficientPoint:
-    """Near-light-speed limit f = 1 + f_delta, g = -f_delta.
+    """Near-light-speed limit f = 1 + f_delta, g = -f_delta: the 'ultra'
+    mode of coefficient_arrays at u = u_of_delta(delta).
 
     As delta -> 0 this reduces to the trivial generator (f, g) = (1, 0):
     at v = 1 the frame change is an ordinary time-independent boost and
     leaves the transport dynamics invariant.
     """
-    fd = ultra_f_delta(delta)
-    return CoefficientPoint(u=u_of_delta(delta), f=1.0 + fd, g=-fd, denominator=math.nan)
+    u = u_of_delta(delta)
+    f, g, D = coefficient_arrays(u, "ultra", delta)
+    return CoefficientPoint(u=u, f=float(f), g=float(g), denominator=float(D))

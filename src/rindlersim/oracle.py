@@ -31,8 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import _travel_time
-from .embedding import Grid, ScalarField
-from .errors import GridMismatchError
+from .embedding import Grid, ScalarField, _require_same_grid, field_norm
 from .evolution import GridWindow, WavepacketSpec
 from .hamiltonian import coefficient_arrays, find_singularity
 
@@ -202,14 +201,11 @@ class ErrorReport:
 
 def compare(candidate: ScalarField, reference: ScalarField) -> ErrorReport:
     """L2 and Linf errors of candidate against reference (same grid)."""
-    if candidate.grid != reference.grid:
-        raise GridMismatchError(
-            f"grids differ: {candidate.grid} vs {reference.grid}"
-        )
+    _require_same_grid(candidate.grid, reference.grid)
     dx = reference.grid.dx
     diff = np.abs(candidate.values - reference.values)
-    l2_abs = float(np.sqrt(np.sum(diff**2) * dx))
-    ref_l2 = float(np.sqrt(np.sum(np.abs(reference.values) ** 2) * dx))
+    l2_abs = field_norm(diff, dx)
+    ref_l2 = field_norm(reference.values, dx)
     linf_abs = float(np.max(diff))
     ref_linf = float(np.max(np.abs(reference.values)))
     imax = int(np.argmax(diff))

@@ -368,7 +368,7 @@ def cmd_evolve(config: SimulationConfig, out_dir=None) -> dict:
     result = evolve(config.packet, config.generator, config.solver)
     os.makedirs(target, exist_ok=True)
 
-    x = config.window.grid().points()
+    x = config.generator.x
     snapshot_paths = [
         os.path.join(target, f"snapshot_{index:06d}.csv")
         for index in range(len(result.snapshots))

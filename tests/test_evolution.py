@@ -7,6 +7,7 @@ from rindlersim.coords import Acceleration
 from rindlersim.embedding import EnlargedSpinorField, Grid, field_norm
 from rindlersim.errors import ConfigError, InstabilityError
 from rindlersim.evolution import (
+    NORM_GROWTH_TOL,
     GridWindow,
     SolverConfig,
     TransportStepper,
@@ -59,6 +60,11 @@ def test_build_generator_respects_acceleration_scaling():
 def test_small_grid_rejected():
     with pytest.raises(ConfigError):
         build_generator(GridWindow(x_min=4.5, x_max=12.0, n=32, a=A1))
+    # a window is a Grid, and fails Grid's checks when it is built
+    with pytest.raises(ConfigError, match="at least 8 samples"):
+        GridWindow(x_min=4.5, x_max=12.0, n=7, a=A1)
+    with pytest.raises(ConfigError, match="empty grid interval"):
+        GridWindow(x_min=6.0, x_max=6.0, n=128, a=A1)
 
 
 def test_galileo_mode_window_bounds():
@@ -444,6 +450,15 @@ def test_packet_outside_window_is_rejected():
 def test_packet_far_from_its_center_is_zero_without_warning():
     # (x - x0)^2 overflows here; exp(-inf) = 0 is the value
     assert WavepacketSpec(6.0, 0.3).evaluate([1e200]).tolist() == [0j]
+    # a width close to the narrowest whose 2 sigma^2 is a nonzero double
+    assert WavepacketSpec(0.0, 1e-161).evaluate([0.0, 1e-150]).tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("sigma", [1e-200, 1e200])
+def test_packet_width_whose_square_is_not_a_double_is_rejected(sigma):
+    # 2 sigma^2 would underflow to 0 or overflow, and evaluate divides by it
+    with pytest.raises(ConfigError, match="packet width"):
+        WavepacketSpec(x0=7.5, sigma=sigma)
 
 
 def test_marginal_packet_warns():
@@ -464,6 +479,19 @@ def test_instability_detected_for_oversized_steps(monkeypatch):
     solver = SolverConfig(t_final=400 * huge_dt(WINDOW, gen, 1.0), snapshot_stride=10**6)
     with pytest.raises(InstabilityError), np.errstate(over="ignore", invalid="ignore"):
         evolve(PACKET, gen, solver)
+
+
+def test_mass_crossing_the_edge_samples_is_not_growth():
+    # SBP-SAT bounds the SBP norm of psi, not the plain one: while the
+    # packet leaves through the right edge, its mass crosses samples of
+    # norm weight above 1, and the plain norm rises
+    window = GridWindow(x_min=4.5, x_max=12.0, n=256, a=A1)
+    dx = window.dx
+    packet = WavepacketSpec(x0=12.0 - 10.5 * dx, sigma=dx)
+    solver = SolverConfig(t_final=30.0 * dx + 0.5, snapshot_stride=1)
+    result = evolve(packet, build_generator(window), solver)
+    norms = [row.norm_inertial for row in result.report]
+    assert max(norms) > norms[0] * (1.0 + 100.0 * NORM_GROWTH_TOL)
 
 
 def test_sponge_absorbs_outgoing_packet():

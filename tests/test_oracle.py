@@ -166,8 +166,8 @@ def test_windows_the_solver_accepts_are_covered_by_the_relaxed_oracle(a):
     packet = WavepacketSpec(x0=1.0, sigma=1.0)
     accepted = 0
     for x_min, x_max in windows:
-        window = GridWindow(x_min, x_max, 64, acc)
         try:
+            window = GridWindow(x_min, x_max, 64, acc)
             build_generator(window)
         except ConfigError:
             continue

@@ -1,10 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rindlersim
 from rindlersim.cli import main
 from rindlersim.coords import Acceleration
 from rindlersim.embedding import EnlargedSpinorField, Grid
@@ -592,6 +596,65 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys):
     cfg.write_text('{"a": 1.0, "window": ')
     assert main(["evolve", "--config", str(cfg)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def _evolve_argv(edit):
+    """argv of an evolve run on the standard config changed by edit."""
+
+    def argv(tmp_path):
+        raw = standard_config(tmp_path / "out", n=128, t_final=0.05)
+        edit(raw)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        return ["evolve", "--config", str(cfg)]
+
+    return argv
+
+
+@pytest.mark.parametrize(
+    "argv, code, stderr",
+    [
+        (_evolve_argv(lambda raw: raw.update(a="1.0")), 2, "error: a must be a number"),
+        (_evolve_argv(lambda raw: raw["window"].update(x_min=math.nan)), 2,
+         "error: window.x_min must be finite"),
+        (_evolve_argv(lambda raw: raw["window"].update(x_max=4.5)), 2,
+         "error: empty grid interval"),
+        (_evolve_argv(lambda raw: raw.update(output_dir=5)), 2,
+         "error: output_dir must be a string"),
+        (_evolve_argv(lambda raw: raw.pop("output_dir")), 2,
+         "error: no output directory given"),
+        (_evolve_argv(lambda raw: raw["packet"].update(sigma=1e-200)), 2,
+         "error: packet width"),
+        (_evolve_argv(lambda raw: raw["packet"].update(sigma=1e200)), 2,
+         "error: packet width"),
+        (_evolve_argv(lambda raw: raw["time"].update(t_final=1e308)), 2,
+         "error: t_final = 1e+308 takes too many steps"),
+        (_evolve_argv(lambda raw: raw["time"].update(cfl=1e-310)), 2,
+         "error: t_final = 0.05 takes too many steps"),
+        (lambda tmp_path: ["limits", "--regime", "galileo", "--values", "0.01,abc",
+                           "--out", str(tmp_path / "l.csv")], 2,
+         "error: could not parse --values"),
+        (lambda tmp_path: ["coeffs", "--samples", "1", "--out", str(tmp_path / "c.csv")], 2,
+         "error: need at least 2 samples"),
+        (lambda tmp_path: ["singularity", "--json"], 0, ""),
+    ],
+    ids=["a-string", "x_min-nan", "window-empty", "output_dir-number", "no-output_dir",
+         "sigma-underflow", "sigma-overflow", "t_final-1e308", "cfl-1e-310",
+         "values-not-numbers", "coeffs-one-sample", "singularity"],
+)
+def test_entry_point_exit_codes(tmp_path, argv, code, stderr):
+    # `python -m rindlersim`, as the benchmark runs it: an error is one
+    # stderr line, with no traceback or warning, and makes no output
+    env = dict(os.environ, PYTHONPATH=str(Path(rindlersim.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "rindlersim", *argv(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert run.returncode == code
+    assert run.stderr.startswith(stderr) and run.stderr.count("\n") == (code != 0)
+    assert not (tmp_path / "out").exists()
+    if code == 0:
+        assert json.loads(run.stdout)["u_star"] == pytest.approx(3.6242, abs=1e-4)
 
 
 @pytest.mark.parametrize("command", ["evolve", "coeffs", "limits"])
