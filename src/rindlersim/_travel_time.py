@@ -10,6 +10,10 @@ X, and next to a zero z cells in w = ln|X - z|, where dtau/dw =
 monomial coefficients, in its local coordinate xi in [-1, 1], of the
 integral of the degree-7 interpolant of dtau/dxi at the 8 Gauss-Legendre
 nodes; over the whole cell that integral is the Gauss-Legendre sum.
+
+The table is clipped to the valid region.  A target travel time past a
+table end at an edge of that region means the characteristic crossed
+that edge within t: for t > 0 it entered there, and its origin is NaN.
 """
 
 import functools
@@ -37,22 +41,16 @@ SPLITS = 64
 # outer end; closer in, tau is continued linearly in w = ln|X - z|.  The
 # error of that continuation is of order (c''/c') |X - z|^2 at the floor.
 FLOOR = 2.0**-24
-# A bracket of a zero is cut into this many sections per speed call.
+# A bracket of a zero is cut into this many sections per speed call, so a
+# pass shrinks it 64 times: 360 passes take any bracket of doubles (at
+# most 2^1024 wide) down to adjacent floats, even 2^-1074 apart.
 SECTIONS = 64
-SECTION_PASSES = 16
+SECTION_PASSES = 360
 # Passes that widen the table until it spans what the traces can reach.
 REACH_PASSES = 16
 NEWTON_CAP = 16
 # Most cells per speed call: the temporaries of a call stay small.
 BLOCK = 512
-
-
-def left_the_region(valid_lo, valid_hi):
-    """The error for a trace that leaves [valid_lo, valid_hi]."""
-    return OracleCoverageError(
-        "characteristic trace left the valid region "
-        f"[{valid_lo:.6g}, {valid_hi:.6g}]; shrink t or enlarge the window"
-    )
 
 
 def speed_at(speed, points):
@@ -94,8 +92,10 @@ def table_edges(speed, points, c, t, substep, valid_lo, valid_hi):
         lo = max(valid_lo, x_lo - (distance if left else cell))
         hi = min(valid_hi, x_hi + (distance if right else cell))
         if lo == hi:
-            # the points sit on the valid edge they run towards
-            raise left_the_region(valid_lo, valid_hi)
+            raise OracleCoverageError(
+                "the travel-time table spans no interval: the valid region "
+                f"[{valid_lo:.6g}, {valid_hi:.6g}] or the substep is too small"
+            )
         edges = np.linspace(lo, hi, cell_count((hi - lo) / cell) + 1)
         c_edges = speed_at(speed, edges)
         faster = float(np.max(np.abs(c_edges)))
@@ -226,9 +226,12 @@ def segment_parts(lo, hi, lo_zero, hi_zero, cell, cmax, edges, c_edges):
 
 class Segment:
     """The travel time tau on the cells between two zeros of the speed (or
-    the ends of the table), with tau = 0 at its first cell edge."""
+    the ends of the table), with tau = 0 at its first cell edge.
+    `region_ends` holds the ends, 0 and -1, that lie on an edge of the
+    valid region."""
 
-    def __init__(self, parts):
+    def __init__(self, parts, region_ends):
+        self.region_ends = region_ends
         z, o, mid, half, xe = [], [], [], [], []
         for zero, sign, w in parts:
             n = w.size - 1
@@ -309,22 +312,30 @@ class Segment:
         return value
 
     def position(self, target):
-        """X with tau(X) = target: NaN past a table edge that is not a
-        floor, the linear continuation past a floor, and else a guess
-        interpolated between the cell's edges and Newton steps on its
-        polynomial, until the update moves X by a few ulp."""
+        """X with tau(X) = target: the linear continuation past a floor,
+        NaN past a table end on an edge of the valid region (the
+        characteristic crossed that edge), and else a guess interpolated
+        between the cell's edges and Newton steps on its polynomial, until
+        the update moves X by a few ulp.  Past any other table end, which
+        no trace reaches at the speeds the table sampled, is a coverage
+        error."""
         key = self.sign * self.tau
         below, above = self.sign * target < key[0], self.sign * target > key[-1]
         x = np.empty_like(target)
         for end, beyond in ((0, below), (-1, above)):
             if not beyond.any():
                 continue
-            if end not in self.floors:
-                x[beyond] = math.nan  # which the coverage check rejects
-                continue
-            v_f, tau_f, slope = self.floors[end]
-            ends = np.full(np.count_nonzero(beyond), end)
-            x[beyond] = self._x(v_f + (target[beyond] - tau_f) / slope, ends)
+            if end in self.floors:
+                v_f, tau_f, slope = self.floors[end]
+                ends = np.full(np.count_nonzero(beyond), end)
+                x[beyond] = self._x(v_f + (target[beyond] - tau_f) / slope, ends)
+            elif end in self.region_ends:
+                x[beyond] = math.nan
+            else:
+                raise OracleCoverageError(
+                    "an origin lies past the reach of the travel-time table; the "
+                    "table does not resolve the speed there (lower the substep)"
+                )
         inside = ~(below | above)
         target = target[inside]
         k = np.clip(np.searchsorted(key, self.sign * target, "right") - 1, 0, self.mid.size - 1)
@@ -333,9 +344,11 @@ class Segment:
         tol = self.tol[k]
         for _ in range(NEWTON_CAP):
             value, slope = polynomial(self.coefficients, k, xi)
-            step = (value - rel) / slope
-            xi -= step
-            np.clip(xi, -1.0, 1.0, out=xi)
+            # the step as the clip to the cell leaves it: a root a rounding
+            # past the cell's end stays at that end
+            update = xi - (value - rel) / slope
+            np.clip(update, -1.0, 1.0, out=update)
+            xi, step = update, xi - update
             if np.all(np.abs(step) <= tol):
                 break
         else:
@@ -349,7 +362,8 @@ class Segment:
 
 def origins(speed, points, c, t, substep, valid_lo, valid_hi):
     """Origins of the traces through points (where the speed c is not
-    zero) over time t; NaN for an origin past the table's edge."""
+    zero) over time t; NaN for a trace that crossed an edge of [valid_lo,
+    valid_hi]."""
     edges, c_edges, cmax = table_edges(speed, points, c, t, substep, valid_lo, valid_hi)
     cell = CELL_SUBSTEPS * substep * cmax
     za, zb, slope = speed_zeros(speed, edges, c_edges)
@@ -362,7 +376,10 @@ def origins(speed, points, c, t, substep, valid_lo, valid_hi):
         hi_zero = (za[k], slope[k]) if k < za.size else None
         lo = zb[k - 1] if k > 0 else edges[0]
         hi = za[k] if k < za.size else edges[-1]
-        segment = Segment(segment_parts(lo, hi, lo_zero, hi_zero, cell, cmax, edges, c_edges))
+        region_ends = {end for end, at in ((0, lo == valid_lo), (-1, hi == valid_hi)) if at}
+        segment = Segment(
+            segment_parts(lo, hi, lo_zero, hi_zero, cell, cmax, edges, c_edges), region_ends
+        )
         segment.fill(speed)
         mine = which == k
         result[mine] = segment.position(segment.travel_time(points[mine]) - t)

@@ -23,6 +23,7 @@ Inner products are plain Riemann sums sum(conj(u) * v) * dx on the
 uniform grid, matching the discrete norms used by the evolution module.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,9 +37,7 @@ __all__ = [
     "GridObservable",
     "identity_observable",
     "position_observable",
-    "momentum_observable",
     "window_projector",
-    "diagonal_observable",
     "inner",
     "field_norm",
     "embed_initial",
@@ -73,6 +72,14 @@ class Grid:
             raise ConfigError(f"grid needs at least 8 samples, got {self.n}")
         if not self.x_max > self.x_min:
             raise ConfigError(f"empty grid interval [{self.x_min}, {self.x_max}]")
+        # linspace rounds each sample by about an ulp: 8 of them apart keeps
+        # the samples distinct and in order
+        ulp = math.ulp(max(abs(self.x_min), abs(self.x_max)))
+        if not self.dx > 8.0 * ulp:
+            raise ConfigError(
+                f"grid spacing {self.dx:.3g} on [{self.x_min}, {self.x_max}] is not above "
+                f"8 ulps of x ({8.0 * ulp:.3g})"
+            )
 
     @property
     def dx(self) -> float:
@@ -122,52 +129,29 @@ def _require_same_grid(a_grid: Grid, b_grid: Grid):
 
 @dataclass(frozen=True)
 class GridObservable:
-    """Hermitian single-particle observable bound to a grid.
+    """Hermitian single-particle observable bound to a grid: the
+    multiplication by a real per-sample array (position, identity and
+    window projectors)."""
 
-    kind 'diagonal' multiplies by a real per-sample array (position,
-    window projectors, and custom diagonals all reduce to this); kind
-    'momentum' applies -i d/dx spectrally, which is Hermitian for the
-    plain grid inner product.
-    """
-
-    kind: str
     grid: Grid
-    data: np.ndarray | None = field(default=None, repr=False)
+    data: np.ndarray = field(repr=False)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        if self.kind == "diagonal":
-            return self.data * values
-        if self.kind == "momentum":
-            k = 2.0 * np.pi * np.fft.fftfreq(self.grid.n, d=self.grid.dx)
-            return np.fft.ifft(k * np.fft.fft(values))
-        raise ConfigError(f"unknown observable kind {self.kind!r}")
+        return self.data * values
 
 
 def identity_observable(grid: Grid) -> GridObservable:
-    return GridObservable("diagonal", grid, np.ones(grid.n))
+    return GridObservable(grid, np.ones(grid.n))
 
 
 def position_observable(grid: Grid) -> GridObservable:
-    return GridObservable("diagonal", grid, grid.points())
-
-
-def momentum_observable(grid: Grid) -> GridObservable:
-    return GridObservable("momentum", grid, None)
+    return GridObservable(grid, grid.points())
 
 
 def window_projector(grid: Grid, lo: float, hi: float) -> GridObservable:
     """Projector onto grid samples with lo <= x <= hi."""
     x = grid.points()
-    return GridObservable("diagonal", grid, ((x >= lo) & (x <= hi)).astype(float))
-
-
-def diagonal_observable(grid: Grid, diag) -> GridObservable:
-    diag = np.asarray(diag)
-    if diag.shape != (grid.n,):
-        raise ConfigError(f"diagonal has shape {diag.shape}, expected ({grid.n},)")
-    if np.iscomplexobj(diag) and np.any(diag.imag != 0.0):
-        raise ConfigError("diagonal observables must be real to stay Hermitian")
-    return GridObservable("diagonal", grid, diag.real.astype(float))
+    return GridObservable(grid, ((x >= lo) & (x <= hi)).astype(float))
 
 
 def inner(u: np.ndarray, v: np.ndarray, dx: float) -> complex:

@@ -43,6 +43,8 @@ class GridMismatchError(RindlerSimError, ValueError):
 
 class OracleCoverageError(RindlerSimError, ValueError):
     """The characteristics reference is not defined where it was asked
-    for: a trace left the valid region (shrink t or enlarge the window)
-    or meets a speed that is not finite, or the travel-time table does
-    not resolve the speed there (lower the substep)."""
+    for: a point, or an RK4 trace of `backtrace_origins`, lies outside
+    the valid region, a trace meets a speed that is not finite, or the
+    travel-time table does not resolve the speed there (lower the
+    substep).  A characteristic that entered through an edge of the
+    window is no error: the reference reads the zero inflow data."""

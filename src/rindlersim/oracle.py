@@ -11,6 +11,11 @@ keeps interpolation error out of solver/oracle comparisons.  The speed
 comes from the coefficient modes the solver samples too: the oracle
 checks the transport, not the coefficients.
 
+The reference solves the solver's own problem on its window: zero data
+enter through an inflow edge, so where a characteristic entered through
+an edge within t the reference is 0.  It holds at any t, with no window
+larger than the run's.
+
 There are two independent routes to the origins:
 
 - `travel_time_origins`, the one `characteristics_rindler` takes:
@@ -32,8 +37,12 @@ import numpy as np
 
 from . import _travel_time
 from .embedding import Grid, ScalarField, _require_same_grid, field_norm
+from .errors import OracleCoverageError
 from .evolution import GridWindow, WavepacketSpec
-from .hamiltonian import coefficient_arrays, find_singularity
+from .hamiltonian import coefficient_arrays
+# Not called here any more, but the traced benchmark (perfbench/tracing.py)
+# wraps this name on this module, so it must stay importable from it.
+from .hamiltonian import find_singularity  # noqa: F401
 
 __all__ = [
     "ErrorReport",
@@ -71,7 +80,10 @@ def _covered(values, valid_lo, valid_hi):
     """values, once they are checked to lie in [valid_lo, valid_hi]."""
     # one min and one max; the negated form also rejects NaN
     if values.size and not (valid_lo <= values.min() and values.max() <= valid_hi):
-        raise _travel_time.left_the_region(valid_lo, valid_hi)
+        raise OracleCoverageError(
+            "a point or an RK4 trace lies outside the valid region "
+            f"[{valid_lo:.6g}, {valid_hi:.6g}]"
+        )
     return values
 
 
@@ -125,15 +137,16 @@ def travel_time_origins(
     origin comes from a guess interpolated in the table and Newton steps
     on its cell's integral, until the update moves X by a few ulp.
 
-    Raises OracleCoverageError for an origin outside [valid_lo,
-    valid_hi], for a speed that is NaN or infinite on the table, and for
-    a Newton inversion that does not converge within its cap.  Points
-    where the speed is exactly zero stay where they are; at t = 0 the
-    origins are x, bit for bit.  speed may return a scalar, its input or
-    a buffer of its own.
+    The origin is NaN where the trace crossed an edge of [valid_lo,
+    valid_hi] within t: for t > 0, where the characteristic entered
+    through an inflow edge.  Raises OracleCoverageError for a point
+    outside [valid_lo, valid_hi], for a speed that is NaN or infinite on
+    the table, and for a Newton inversion that does not converge within
+    its cap.  Points where the speed is exactly zero stay where they are;
+    at t = 0 the origins are x, bit for bit.  speed may return a scalar,
+    its input or a buffer of its own.
     """
-    X = np.array(x, dtype=float)
-    _covered(X, valid_lo, valid_hi)
+    X = _covered(np.array(x, dtype=float), valid_lo, valid_hi)
     if t == 0.0 or X.size == 0:
         return X
     flat = X.reshape(-1)
@@ -143,7 +156,7 @@ def travel_time_origins(
         flat[moving] = _travel_time.origins(
             speed, flat[moving], c[moving], t, substep, valid_lo, valid_hi
         )
-    return _covered(X, valid_lo, valid_hi)
+    return X
 
 
 def characteristics_rindler(
@@ -154,23 +167,19 @@ def characteristics_rindler(
     delta: float | None = None,
     substep: float | None = None,
     grid: Grid | None = None,
-    strict_window: bool = True,
 ) -> ScalarField:
-    """Reference accelerated-frame field psi'(x, t): the packet at the
-    origins from `travel_time_origins`.
+    """Reference accelerated-frame field psi'(x, t) of the solver's own
+    problem on the window: transport at c_minus with zero data entering
+    through an inflow edge.  It is the packet at the origins from
+    `travel_time_origins` inside the window, and 0 where the
+    characteristic entered through an edge within t.
 
-    The window bounds the region characteristics may traverse; the
-    output grid defaults to the window grid but may be any grid inside
-    it.  With strict_window=True a trace leaving the window raises
-    OracleCoverageError (shrink t, or enlarge the window relative to
-    the output grid so upstream origins stay covered).  With
-    strict_window=False traces may roam over the window's side of the
-    singular band: the interval hamiltonian.SingularPoint.branch gives,
-    to which build_generator holds windows too.  substep sets the
-    resolution of the travel-time table; the default, a quarter of the
-    CFL-limited solver step at cfl = 1, dx / (4 max|c|), gives origins
-    within about 1e-13 of a converged RK4 trace on the demos/04
-    geometry, and halving it is a convergence check of the same route.
+    The output grid defaults to the window grid but may be any grid
+    inside it.  substep sets the resolution of the travel-time table;
+    the default, a quarter of the CFL-limited solver step at cfl = 1,
+    dx / (4 max|c|), gives origins within about 1e-13 of a converged RK4
+    trace on the demos/04 geometry, and halving it is a convergence
+    check of the same route.
     """
     grid = window.grid() if grid is None else grid
     speed = transport_speed(window, mode=mode, delta=delta)
@@ -178,14 +187,12 @@ def characteristics_rindler(
         # quarter of the CFL-limited solver step at cfl = 1
         cmax = float(np.max(np.abs(speed(grid.points()))))
         substep = 0.25 * grid.dx / cmax
-    if strict_window:
-        lo, hi = window.x_min, window.x_max
-    else:
-        lo, hi = find_singularity(window.a).branch(window.a, window.x_min)
     origins = travel_time_origins(
-        grid.points(), t, speed, substep, valid_lo=lo, valid_hi=hi
+        grid.points(), t, speed, substep, valid_lo=window.x_min, valid_hi=window.x_max
     )
-    return ScalarField(grid=grid, values=packet.evaluate(origins))
+    values = packet.evaluate(origins)
+    values[np.isnan(origins)] = 0.0  # entered through an inflow edge
+    return ScalarField(grid=grid, values=values)
 
 
 @dataclass(frozen=True)

@@ -158,10 +158,7 @@ def test_criterion_08_characteristics_oracle(run_fine):
     with criterion(8, "psi' matches characteristics; displacement 0.93 +- 0.02"):
         window, result = run_fine
         final = extract_rindler(result.snapshots[-1])
-        coverage = GridWindow(x_min=3.7, x_max=12.0, n=window.n, a=A1)
-        reference = characteristics_rindler(
-            STD_PACKET, result.times[-1], coverage, grid=window.grid()
-        )
+        reference = characteristics_rindler(STD_PACKET, result.times[-1], window)
         assert compare(final, reference).linf_rel <= 1e-2
         displacement = result.report[-1].x_rindler - STD_PACKET.x0
         assert 0.91 <= displacement <= 0.95

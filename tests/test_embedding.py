@@ -6,7 +6,6 @@ from rindlersim.embedding import (
     Grid,
     ScalarField,
     correlation,
-    diagonal_observable,
     embed_initial,
     enlarged_expectation,
     expectation_inertial,
@@ -16,7 +15,6 @@ from rindlersim.embedding import (
     field_norm,
     identity_observable,
     inner,
-    momentum_observable,
     position_observable,
     window_projector,
     IDENTITY_2,
@@ -171,7 +169,6 @@ def test_expectations_are_real_for_hermitian_observables():
         state = random_spinor(GRID, rng)
         for obs in (
             position_observable(GRID),
-            momentum_observable(GRID),
             window_projector(GRID, 0.0, 4.0),
         ):
             for form in (expectation_inertial, expectation_rindler):
@@ -199,14 +196,6 @@ def test_norm_bookkeeping():
     assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
-def test_momentum_observable_measures_carrier():
-    p = gaussian(GRID, sigma=0.8, k0=3.0)
-    state = EnlargedSpinorField(GRID, even=p, odd=np.zeros_like(p))
-    mom = expectation_inertial(state, momentum_observable(GRID))
-    norm_sq = expectation_inertial(state, identity_observable(GRID))
-    assert (mom / norm_sq).real == pytest.approx(3.0, abs=1e-6)
-
-
 def test_grid_mismatch_is_an_error():
     other = Grid(x_min=-5.0, x_max=5.0, n=256)
     state = EnlargedSpinorField(
@@ -218,13 +207,6 @@ def test_grid_mismatch_is_an_error():
         correlation(state, position_observable(other))
 
 
-def test_custom_diagonal_must_be_real():
-    with pytest.raises(ConfigError):
-        diagonal_observable(GRID, np.ones(GRID.n) * (1.0 + 1.0j))
-    obs = diagonal_observable(GRID, np.linspace(0.0, 1.0, GRID.n))
-    assert obs.kind == "diagonal"
-
-
 def test_grid_validation():
     with pytest.raises(ConfigError):
         Grid(0.0, 1.0, 4)
@@ -232,6 +214,11 @@ def test_grid_validation():
         Grid(1.0, 1.0, 64)
     with pytest.raises(ConfigError):
         ScalarField(GRID, np.zeros(GRID.n - 1, dtype=complex))
+    # 64 samples over four doubles: the points would not be distinct
+    with pytest.raises(ConfigError, match="8 ulps"):
+        Grid(1.0, 1.0 + 4.0 * np.spacing(1.0), 64)
+    fine = Grid(1.0, 1.0 + 64 * 16.0 * np.spacing(1.0), 64)
+    assert np.all(np.diff(fine.points()) > 0.0)
 
 
 def test_block_forms_reduce_to_pauli_expansion():

@@ -5,6 +5,7 @@ import pytest
 
 from rindlersim.coords import Acceleration
 from rindlersim.embedding import EnlargedSpinorField, Grid, field_norm
+from rindlersim import evolution
 from rindlersim.errors import ConfigError, InstabilityError
 from rindlersim.evolution import (
     NORM_GROWTH_TOL,
@@ -481,6 +482,36 @@ def test_instability_detected_for_oversized_steps(monkeypatch):
         evolve(PACKET, gen, solver)
 
 
+def test_step_count_is_bounded_before_the_first_step(monkeypatch):
+    # a run of MAX_STEPS steps runs; one step more is a ConfigError
+    monkeypatch.setattr(evolution, "MAX_STEPS", 40)
+    generator = build_generator(WINDOW)
+    dt = cfl_dt(WINDOW, generator, 0.5)
+    result = evolve(PACKET, generator, SolverConfig(t_final=40.0 * dt, snapshot_stride=40))
+    assert result.times[-1] == pytest.approx(40.0 * dt, rel=1e-12)
+    with pytest.raises(ConfigError, match="too many steps"):
+        evolve(PACKET, generator, SolverConfig(t_final=41.0 * dt))
+    for cfl in (1e-200, 5e-324):  # 1e202 steps, and a step that underflows to 0
+        with pytest.raises(ConfigError, match="too many steps"):
+            evolve(PACKET, generator, SolverConfig(cfl=cfl))
+
+
+@pytest.mark.parametrize(
+    "amplitude", [6.812920690579762e-161, 3.162277660168379e-160, 4.641588833612677e-159]
+)
+def test_tiny_packets_are_not_growth(amplitude):
+    # |psi|^2 is subnormal here: summed plainly, the SBP norm lost digits
+    # and rose past NORM_GROWTH_TOL on these stable runs
+    window = GridWindow(x_min=3.75, x_max=6.0, n=256, a=A1)
+    packet = WavepacketSpec(x0=4.8, sigma=0.1, amplitude=amplitude)
+    solver = SolverConfig(t_final=0.3, snapshot_stride=1)
+    result = evolve(packet, build_generator(window), solver)
+    assert result.times[-1] == pytest.approx(0.3)
+    stepper = TransportStepper(build_generator(window), solver)
+    scaled = stepper.norm(packet.evaluate(window.points()) / amplitude) * amplitude
+    assert stepper.norm(packet.evaluate(window.points())) == pytest.approx(scaled, rel=1e-15)
+
+
 def test_mass_crossing_the_edge_samples_is_not_growth():
     # SBP-SAT bounds the SBP norm of psi, not the plain one: while the
     # packet leaves through the right edge, its mass crosses samples of
@@ -494,9 +525,9 @@ def test_mass_crossing_the_edge_samples_is_not_growth():
     assert max(norms) > norms[0] * (1.0 + 100.0 * NORM_GROWTH_TOL)
 
 
-def test_sponge_absorbs_outgoing_packet():
-    # run long enough for the packet to hit the right edge; the layer
-    # must swallow it without reflecting or blowing up
+def test_sbp_sat_outflow_lets_the_packet_leave():
+    # run long enough for the packet to hit the right edge; the SBP-SAT
+    # closure must let it out without reflecting or blowing up
     solver = SolverConfig(t_final=6.0, cfl=0.5, snapshot_stride=2000)
     result = evolve(WavepacketSpec(x0=8.0, sigma=0.3), build_generator(WINDOW), solver)
     final = result.report[-1]

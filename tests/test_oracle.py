@@ -99,7 +99,7 @@ def test_transport_speed_is_the_solver_speed_bit_for_bit(window, mode, delta):
 def test_characteristic_trace_lands_near_expected_origin():
     # forward displacement of the packet center over t=1 is ~0.9449,
     # so the backtraced origin of x=6.9449 is ~6
-    field = characteristics_rindler(PACKET, 1.0, WINDOW, strict_window=False)
+    field = characteristics_rindler(PACKET, 1.0, WINDOW)
     x = WINDOW.grid().points()
     peak = x[np.argmax(np.abs(field.values))]
     assert peak == pytest.approx(6.9449, abs=3 * WINDOW.dx)
@@ -113,23 +113,26 @@ def test_backtrace_monotone_origins():
 
 
 def test_richardson_substep_consistency():
-    coarse = characteristics_rindler(PACKET, 1.0, WINDOW, substep=8e-3, strict_window=False)
-    fine = characteristics_rindler(PACKET, 1.0, WINDOW, substep=4e-3, strict_window=False)
+    coarse = characteristics_rindler(PACKET, 1.0, WINDOW, substep=8e-3)
+    fine = characteristics_rindler(PACKET, 1.0, WINDOW, substep=4e-3)
     assert np.max(np.abs(coarse.values - fine.values)) <= 1e-8
 
 
-def test_strict_window_coverage_error_and_enlargement():
-    # the window-edge grid point backtraces out of the window at once
-    with pytest.raises(OracleCoverageError):
-        characteristics_rindler(PACKET, 1.0, WINDOW, strict_window=True)
-    # enlarging the coverage window relative to the output grid fixes it
-    big = GridWindow(x_min=3.7, x_max=12.0, n=512, a=A1)
-    field = characteristics_rindler(
-        PACKET, 1.0, big, grid=WINDOW.grid(), strict_window=True
-    )
-    assert np.all(np.isfinite(field.values))
-    relaxed = characteristics_rindler(PACKET, 1.0, WINDOW, strict_window=False)
-    assert np.allclose(field.values, relaxed.values, atol=1e-12)
+def test_the_reference_is_zero_where_characteristics_entered():
+    # on [4.5, 12] c_minus > 0, so the left edge is the inflow edge; with
+    # a packet whose tail reaches past it, the origins the RK4 trace finds
+    # below 4.5 must read 0 (zero inflow data), and the others the packet
+    packet = WavepacketSpec(x0=5.0, sigma=0.5)
+    x = WINDOW.grid().points()
+    speed = transport_speed(WINDOW)
+    field = characteristics_rindler(packet, 1.0, WINDOW)
+    traced = backtrace_origins(x, 1.0, speed, 1e-3, valid_lo=3.9)
+    entered = traced < 4.5
+    assert entered.sum() > 50 and np.max(np.abs(packet.evaluate(traced[entered]))) > 0.05
+    assert np.all(field.values[entered] == 0.0)
+    assert entered[0]  # the inflow edge itself
+    inside = traced > 4.5 + 1e-9
+    assert np.max(np.abs(field.values[inside] - packet.evaluate(traced[inside]))) <= 1e-9
 
 
 def test_backtraces_stagnate_before_the_singular_band():
@@ -142,19 +145,44 @@ def test_backtraces_stagnate_before_the_singular_band():
     assert 3.87 < origins[0] < 3.95
 
 
+def test_own_window_reference_matches_a_wider_window_on_demo04():
+    # on the demos/04 geometry no characteristic that enters through 4.5
+    # carries more than the packet's far tail: the reference on the run's
+    # window equals that of a window reaching down to 3.7, on the same grid
+    window = GridWindow(4.5, 12.0, 2048, A1)
+    packet = WavepacketSpec(x0=6.0, sigma=0.15)
+    own = characteristics_rindler(packet, 1.0, window)
+    wider = GridWindow(3.7, 12.0, 2048, A1)
+    wide = characteristics_rindler(packet, 1.0, wider, grid=window.grid())
+    assert own.grid == wide.grid
+    assert np.max(np.abs(own.values - wide.values)) <= 1e-13
+
+
 def test_left_branch_traces_hit_the_domain_edge():
-    # left of the band psi' moves faster than light toward u = 1; long
-    # horizons push origins below the valid region and must error out
+    # left of the band psi' moves faster than light toward u = 1; the
+    # traces of the lower part of [1.5, 3] reach the inflow edge 1.5
+    # within t = 1, and there the reference reads the zero inflow data.
+    # The boundary characteristic starts at 1.5: the RK4 trace gives
+    # where it is at t = 1.
     window = GridWindow(x_min=1.5, x_max=3.0, n=128, a=A1)
     packet = WavepacketSpec(x0=2.2, sigma=0.1)
-    with pytest.raises(OracleCoverageError):
-        characteristics_rindler(packet, 1.0, window, strict_window=False)
+    x = window.grid().points()
+    speed = transport_speed(window)
+    boundary = backtrace_origins(np.array([1.5]), -1.0, speed, 1e-3)[0]
+    assert 2.5 < boundary < 3.0
+    field = characteristics_rindler(packet, 1.0, window)
+    assert np.all(field.values[x < boundary - 1e-9] == 0.0)
+    later = x > boundary + 1e-9
+    traced = backtrace_origins(x[later], 1.0, speed, 1e-3, valid_lo=1.5)
+    assert np.max(np.abs(field.values[later] - packet.evaluate(traced))) <= 1e-9
+    # by t = 2 every characteristic in the window entered through 1.5
+    assert np.all(characteristics_rindler(packet, 2.0, window).values == 0.0)
 
 
 @pytest.mark.parametrize("a", [0.1, 1.0, 1.1, 3.0, 49.0])
 def test_windows_the_solver_accepts_are_covered_by_the_relaxed_oracle(a):
-    # one rule for both: on every window build_generator accepts, the
-    # oracle with strict_window=False returns the packet itself at t = 0.
+    # on every window build_generator accepts, the oracle on that window
+    # returns the packet itself at t = 0, and a finite field at t = 1.
     # Each window has one edge at, just below or just above a branch end.
     acc = Acceleration(a)
     point = find_singularity(acc)
@@ -172,8 +200,9 @@ def test_windows_the_solver_accepts_are_covered_by_the_relaxed_oracle(a):
         except ConfigError:
             continue
         accepted += 1
-        got = characteristics_rindler(packet, 0.0, window, strict_window=False)
+        got = characteristics_rindler(packet, 0.0, window)
         assert np.array_equal(got.values, packet.evaluate(window.grid().points()))
+        assert np.all(np.isfinite(characteristics_rindler(packet, 1.0, window).values))
     # x_min at and above the lower end of each branch, x_max at and below
     # the upper end of each
     assert accepted == 8
@@ -218,7 +247,7 @@ def reference_exact_speed(a):
 
 
 def test_exact_backtrace_matches_plain_rk4_bit_for_bit_on_demo04_geometry():
-    # demos/04 grid [4.5, 12] (N = 2048) inside the coverage window [3.7, 12],
+    # demos/04 grid [4.5, 12] (N = 2048) inside the valid region [3.7, 12],
     # default substep, at t = 0.1 instead of 1
     grid = Grid(4.5, 12.0, 2048)
     x = grid.points()
@@ -287,8 +316,7 @@ def test_nan_speed_is_a_coverage_error():
         backtrace_origins(np.array([5.0, math.nan]), 0.0, transport_speed(WINDOW), 0.1)
 
 
-# Lower edge of the right branch, as characteristics_rindler sets it with
-# strict_window=False.
+# Lower edge of the right branch, where solver windows may start.
 RIGHT_BRANCH_LO = find_singularity(A1).branch(A1, 5.0)[0]
 
 
@@ -307,8 +335,8 @@ def route_cases():
         warnings.simplefilter("ignore")  # this galileo window is marginal
         galileo_speed = transport_speed(galileo, mode="galileo")
     return {
-        # the demos/04 grid inside its coverage window; the first origins
-        # approach the zero of c_minus at x ~ 3.89
+        # the demos/04 grid inside the valid region [3.7, 12]; the first
+        # origins approach the zero of c_minus at x ~ 3.89
         "demo04": (
             Grid(4.5, 12.0, 2048).points(),
             1.0,
@@ -404,8 +432,8 @@ def test_travel_time_route_runs_both_ways():
 
 
 def test_travel_time_origins_stay_on_their_side_of_the_zero():
-    # [3.75, 6] straddles the zero of c_minus; with strict_window=False
-    # the traces of both sides close in on it and never cross it
+    # [3.75, 6] straddles the zero of c_minus; the traces of both sides
+    # close in on it and never cross it
     window = GridWindow(3.75, 6.0, 512, A1)
     x = window.grid().points()
     speed = transport_speed(window)
@@ -418,34 +446,79 @@ def test_travel_time_origins_stay_on_their_side_of_the_zero():
         assert np.all(origins[c < 0.0] >= x[c < 0.0])
         assert np.all(origins[c > 0.0] <= x[c > 0.0])
     assert np.all(np.diff(travel_time_origins(x, 1.0, speed, 1e-3, RIGHT_BRANCH_LO)) > 0.0)
-    field = characteristics_rindler(PACKET, 1.0, window, strict_window=False)
-    assert np.all(np.isfinite(field.values))
+    # both edges are outflow edges: no characteristic enters
+    field = characteristics_rindler(PACKET, 40.0, window)
+    assert np.all(field.values == PACKET.evaluate(travel_time_origins(
+        x, 40.0, speed, default_substep(x, speed), 3.75, 6.0)))
 
 
-def test_travel_time_origin_outside_the_valid_region_is_a_coverage_error():
+def test_travel_time_point_outside_the_valid_region_is_a_coverage_error():
     x = WINDOW.grid().points()
     speed = transport_speed(WINDOW)
-    # points outside the region
     with pytest.raises(OracleCoverageError):
         travel_time_origins(x, 1.0, speed, 1e-3, valid_lo=5.0)
-    # origins below valid_lo: the window edge traces out at once
     with pytest.raises(OracleCoverageError):
-        travel_time_origins(x, 1.0, speed, 1e-3, 4.5, 12.0)
-    # a point on the edge it runs towards
-    with pytest.raises(OracleCoverageError):
-        travel_time_origins(np.array([4.5]), 1.0, speed, 1e-3, 4.5, 12.0)
+        travel_time_origins(x, 1.0, speed, 1e-3, valid_hi=np.nextafter(12.0, 0.0))
 
 
-def test_travel_time_past_the_table_edge_is_a_coverage_error():
-    # on the left branch psi' moves faster than light (c_minus > 1): long
-    # horizons ask for travel times past the table's edge at the domain edge
-    window = GridWindow(1.5, 3.0, 128, A1)
-    speed = transport_speed(window)
+def test_travel_time_origins_past_an_edge_of_the_valid_region_are_nan():
+    # the table ends at valid_lo = 4.5: origins past it, and the inflow
+    # edge itself, are NaN (the trace entered there); the others agree
+    # with those of a table that reaches down to 3.9
+    x = WINDOW.grid().points()
+    speed = transport_speed(WINDOW)
+    got = travel_time_origins(x, 1.0, speed, 1e-3, 4.5, 12.0)
+    wide = travel_time_origins(x, 1.0, speed, 1e-3, 3.9, 12.0)
+    assert np.array_equal(np.isnan(got), wide < 4.5)
+    assert np.isnan(got[0])
+    assert np.isnan(travel_time_origins(np.array([4.5]), 1.0, speed, 1e-3, 4.5, 12.0))
+    assert np.max(np.abs(got[wide >= 4.5] - wide[wide >= 4.5])) <= 1e-12
+    # at t < 0 the traces run downstream: NaN where they leave through 12
+    ahead = travel_time_origins(x, -1.0, speed, 1e-3, 4.5, 12.0)
+    assert np.isnan(ahead[-1]) and not np.isnan(ahead[0])
+
+
+def test_travel_time_past_the_table_edge_is_a_coverage_error(monkeypatch):
+    # the table reaches |t| times its top speed past the points; an origin
+    # beyond an end that is not an edge of the valid region means it
+    # missed a faster speed, here by cutting two cells off the table
+    full = _travel_time.table_edges
+
+    def short(*args):
+        edges, c_edges, top = full(*args)
+        return edges[2:], c_edges[2:], top
+
+    monkeypatch.setattr(_travel_time, "table_edges", short)
+    x = np.linspace(5.0, 6.0, 50)
+    with pytest.raises(OracleCoverageError, match="reach"):
+        travel_time_origins(x, 1.0, lambda X: np.ones_like(X), 1e-2)
+
+
+def test_origins_on_the_ends_of_table_cells_converge():
+    # a constant speed, and t one grid cell of travel: the origins are the
+    # grid points one cell upstream, on the ends of table cells, where a
+    # cell's polynomial can fall short of its end by rounding
+    window = GridWindow(1.0 + 1e-12, 3.5741998947013776, 65, A1)
+    speed = transport_speed(window, mode="ultra", delta=0.5)
     x = window.grid().points()
-    with pytest.raises(OracleCoverageError):
-        travel_time_origins(x, 1.0, speed, 1e-3, 1.5, 3.0)
-    with pytest.raises(OracleCoverageError):
-        travel_time_origins(x, 1.0, speed, 1e-3, (1.0 + 1e-12), 3.0)
+    c = float(speed(x)[0])
+    t = 0.03179099371325664  # dx / c
+    assert t * c == pytest.approx(window.dx, rel=1e-15)
+    got = travel_time_origins(x, t, speed, 0.25 * window.dx / c, window.x_min, window.x_max)
+    assert np.all(np.isnan(got[:2])) and not np.any(np.isnan(got[2:]))
+    assert np.max(np.abs(got[2:] - x[1:-1])) <= 4e-15
+
+
+def test_a_zero_in_a_table_cell_wider_than_the_floats_is_bracketed():
+    # on [3.6742, 6e152] at N = 64 the first table cell spans 1e151 and
+    # holds the zero of c_minus at 3.89: bisection takes it down to
+    # adjacent floats, and the traces left of it close in on it
+    window = GridWindow(3.6741998947013803, 6.06151787484074e152, 64, A1)
+    x = window.grid().points()
+    speed = transport_speed(window)
+    substep = default_substep(x, speed)
+    got = travel_time_origins(x, 2e150, speed, substep, window.x_min, window.x_max)
+    assert 3.89 < got[0] < 3.891 and np.all(got[1:] < x[1:])
 
 
 def test_nan_speed_on_a_crossed_span_is_a_coverage_error():

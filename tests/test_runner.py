@@ -631,6 +631,9 @@ def _evolve_argv(edit):
          "error: t_final = 1e+308 takes too many steps"),
         (_evolve_argv(lambda raw: raw["time"].update(cfl=1e-310)), 2,
          "error: t_final = 0.05 takes too many steps"),
+        # about 1e202 steps: past MAX_STEPS, so it exits before the first
+        (_evolve_argv(lambda raw: raw["time"].update(cfl=1e-200, t_final=1.0)), 2,
+         "error: t_final = 1 takes too many steps"),
         (lambda tmp_path: ["limits", "--regime", "galileo", "--values", "0.01,abc",
                            "--out", str(tmp_path / "l.csv")], 2,
          "error: could not parse --values"),
@@ -639,7 +642,7 @@ def _evolve_argv(edit):
         (lambda tmp_path: ["singularity", "--json"], 0, ""),
     ],
     ids=["a-string", "x_min-nan", "window-empty", "output_dir-number", "no-output_dir",
-         "sigma-underflow", "sigma-overflow", "t_final-1e308", "cfl-1e-310",
+         "sigma-underflow", "sigma-overflow", "t_final-1e308", "cfl-1e-310", "cfl-1e-200",
          "values-not-numbers", "coeffs-one-sample", "singularity"],
 )
 def test_entry_point_exit_codes(tmp_path, argv, code, stderr):
