@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -402,9 +403,12 @@ def test_report_centers_and_correlations_do_not_cancel_across_frames():
 
 
 def test_overflowing_observables_raise_instability():
-    packet = WavepacketSpec(x0=7.5, sigma=0.3, amplitude=1e200)
+    # far out on the right branch the packet's norm overflows though its
+    # amplitude is allowed
+    window = GridWindow(x_min=1e110, x_max=4e110, n=128, a=A1)
+    packet = WavepacketSpec(x0=2.5e110, sigma=1e109, amplitude=1e100)
     with pytest.raises(InstabilityError) as info:
-        evolve(packet, build_generator(WINDOW), SolverConfig(t_final=0.1))
+        evolve(packet, build_generator(window), SolverConfig(t_final=0.1))
     assert info.value.step_index == 0
 
 
@@ -462,6 +466,17 @@ def test_packet_width_whose_square_is_not_a_double_is_rejected(sigma):
         WavepacketSpec(x0=7.5, sigma=sigma)
 
 
+@pytest.mark.parametrize(
+    "amplitude", [1e-310, 1e-160, 1e-101, -1e-101, 1e101, 1e200, math.nan, math.inf]
+)
+def test_packet_amplitude_outside_the_normal_range_is_rejected(amplitude):
+    # squares of such a packet leave the normal doubles: below, the report
+    # norms lost digits (1e-160) or read 0; above, its observables
+    # overflowed at t = 0 and the run exited as unstable
+    with pytest.raises(ConfigError, match="packet amplitude"):
+        WavepacketSpec(x0=7.5, sigma=0.3, amplitude=amplitude)
+
+
 def test_marginal_packet_warns():
     solver = SolverConfig(t_final=0.0)
     with pytest.warns(UserWarning):
@@ -496,20 +511,25 @@ def test_step_count_is_bounded_before_the_first_step(monkeypatch):
             evolve(PACKET, generator, SolverConfig(cfl=cfl))
 
 
-@pytest.mark.parametrize(
-    "amplitude", [6.812920690579762e-161, 3.162277660168379e-160, 4.641588833612677e-159]
-)
-def test_tiny_packets_are_not_growth(amplitude):
-    # |psi|^2 is subnormal here: summed plainly, the SBP norm lost digits
-    # and rose past NORM_GROWTH_TOL on these stable runs
+@pytest.mark.parametrize("amplitude", [1e-100, -1e-100, 1e100])
+def test_observables_are_linear_in_the_amplitude(amplitude):
+    # at the ends of the allowed range the run completes, and its report
+    # is the amplitude-1 report scaled
     window = GridWindow(x_min=3.75, x_max=6.0, n=256, a=A1)
-    packet = WavepacketSpec(x0=4.8, sigma=0.1, amplitude=amplitude)
-    solver = SolverConfig(t_final=0.3, snapshot_stride=1)
-    result = evolve(packet, build_generator(window), solver)
-    assert result.times[-1] == pytest.approx(0.3)
-    stepper = TransportStepper(build_generator(window), solver)
-    scaled = stepper.norm(packet.evaluate(window.points()) / amplitude) * amplitude
-    assert stepper.norm(packet.evaluate(window.points())) == pytest.approx(scaled, rel=1e-15)
+    solver = SolverConfig(t_final=0.3, snapshot_stride=8)
+    unit, scaled = (
+        evolve(WavepacketSpec(x0=4.8, sigma=0.1, amplitude=amp), build_generator(window), solver)
+        for amp in (1.0, amplitude)
+    )
+    assert scaled.times == unit.times
+    for row, unit_row in zip(scaled.report, unit.report):
+        for name in ("norm_even", "norm_odd", "norm_inertial", "norm_rindler"):
+            expected = abs(amplitude) * getattr(unit_row, name)
+            assert getattr(row, name) == pytest.approx(expected, rel=1e-13)
+        assert row.x_inertial == pytest.approx(unit_row.x_inertial, rel=1e-13)
+        assert row.x_rindler == pytest.approx(unit_row.x_rindler, rel=1e-13)
+        expected = amplitude**2 * unit_row.corr_identity
+        assert row.corr_identity == pytest.approx(expected, rel=1e-13)
 
 
 def test_mass_crossing_the_edge_samples_is_not_growth():

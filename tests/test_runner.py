@@ -567,9 +567,11 @@ def test_cli_growing_norm_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_overflowing_observables_exit_3(tmp_path):
-    # finite fields whose norms overflow must not give a report with inf
-    raw = standard_config(tmp_path / "out", n=128, t_final=0.05)
-    raw["packet"]["amplitude"] = 1e200
+    # finite fields whose norms overflow must not give a report with inf;
+    # far out on the right branch that needs no amplitude above the bound
+    raw = standard_config(tmp_path / "out", n=128, t_final=0.05, sigma=1e109, x0=2.5e110)
+    raw["window"].update(x_min=1e110, x_max=4e110)
+    raw["packet"]["amplitude"] = 1e100
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(raw))
     assert main(["evolve", "--config", str(cfg)]) == 3
@@ -627,6 +629,10 @@ def _evolve_argv(edit):
          "error: packet width"),
         (_evolve_argv(lambda raw: raw["packet"].update(sigma=1e200)), 2,
          "error: packet width"),
+        (_evolve_argv(lambda raw: raw["packet"].update(amplitude=1e-310)), 2,
+         "error: packet amplitude"),
+        (_evolve_argv(lambda raw: raw["packet"].update(amplitude=1e200)), 2,
+         "error: packet amplitude"),
         (_evolve_argv(lambda raw: raw["time"].update(t_final=1e308)), 2,
          "error: t_final = 1e+308 takes too many steps"),
         (_evolve_argv(lambda raw: raw["time"].update(cfl=1e-310)), 2,
@@ -642,7 +648,8 @@ def _evolve_argv(edit):
         (lambda tmp_path: ["singularity", "--json"], 0, ""),
     ],
     ids=["a-string", "x_min-nan", "window-empty", "output_dir-number", "no-output_dir",
-         "sigma-underflow", "sigma-overflow", "t_final-1e308", "cfl-1e-310", "cfl-1e-200",
+         "sigma-underflow", "sigma-overflow", "amplitude-1e-310", "amplitude-1e200",
+         "t_final-1e308", "cfl-1e-310", "cfl-1e-200",
          "values-not-numbers", "coeffs-one-sample", "singularity"],
 )
 def test_entry_point_exit_codes(tmp_path, argv, code, stderr):
