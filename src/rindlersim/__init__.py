@@ -13,7 +13,8 @@ The package is organized around six pieces:
   extraction, and the Pauli-block bilinear forms for expectation values
   and cross-frame correlations.
 - evolution: method-of-lines transport of the two-component state on a
-  validated window, with RK4 time stepping and SBP-SAT boundaries.
+  window that is checked when it is built, with RK4 time stepping and
+  SBP-SAT boundaries.
 - oracle: exact advection and method-of-characteristics references used
   to verify the solver.
 - runner/cli: strict JSON configuration, CSV/JSON serialization and the

@@ -17,8 +17,9 @@ evolve(packet, generator, solver) runs on a generator from
 build_generator and never rebuilds it.  The generator is applied in
 non-symmetrized form, coefficient times derivative; it is not Hermitian
 for variable g, so only the inertial component has a conserved norm.
-Windows must stay clear of the denominator singularity (validated up
-front).
+Windows must stay clear of the denominator singularity: a GridWindow
+checks that when it is built, so every window that exists is one the
+solver and the oracle accept.
 
 Boundary handling: the central4 derivative is the diagonal-norm SBP(4,2)
 operator of Mattsson & Nordstrom (2004, J. Comput. Phys. 199): the
@@ -46,6 +47,8 @@ from .embedding import (
     Grid,
     ScalarField,
     embed_initial,
+    extract_inertial,
+    extract_rindler,
     field_norm,
     inner,
 )
@@ -85,9 +88,24 @@ _SCHEMES = ("central4", "upwind1")
 
 @dataclass(frozen=True)
 class GridWindow(Grid):
-    """The Grid of a simulation at acceleration a, checked as a Grid."""
+    """The Grid of a simulation at acceleration a, checked when it is
+    built: first as a Grid, then for at least 64 samples that lie on one
+    side of the singular band (hamiltonian.SingularPoint.branch)."""
 
     a: Acceleration
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.n < 64:
+            raise ConfigError(f"evolution needs at least 64 grid points, got {self.n}")
+        point = find_singularity(self.a)
+        lo, hi = point.branch(self.a, self.x_min)
+        if not (lo <= self.x_min and self.x_max <= hi):
+            raise ConfigError(
+                f"window [{self.x_min:.6g}, {self.x_max:.6g}] must lie in "
+                f"[{lo:.6g}, {hi:.6g}], its side of the singular band at "
+                f"u = a*x = {point.u_star:.6g} (with a*x > 1)"
+            )
 
     def grid(self) -> Grid:
         return Grid(self.x_min, self.x_max, self.n)
@@ -182,28 +200,14 @@ class Generator:
         )
 
 
-def _validate_window(window: GridWindow):
-    if window.n < 64:
-        raise ConfigError(f"evolution needs at least 64 grid points, got {window.n}")
-    point = find_singularity(window.a)
-    lo, hi = point.branch(window.a, window.x_min)
-    if not (lo <= window.x_min and window.x_max <= hi):
-        raise ConfigError(
-            f"window [{window.x_min:.6g}, {window.x_max:.6g}] must lie in "
-            f"[{lo:.6g}, {hi:.6g}], its side of the singular band at "
-            f"u = a*x = {point.u_star:.6g} (with a*x > 1)"
-        )
-
-
 def build_generator(
     window: GridWindow, mode: str = "exact", delta: float | None = None
 ) -> Generator:
     """Sample the coefficients of a mode of hamiltonian.coefficient_arrays
-    over a validated window, which must lie on one side of the singular
-    band (hamiltonian.SingularPoint.branch) and, in 'galileo' mode, keep
+    over a window, which lies on one side of the singular band since it
+    was checked when it was built.  In 'galileo' mode the window must keep
     |v| <= GALILEO_V_MAX (warning beyond GALILEO_V_WARN).  There every
     mode keeps |f| below 4."""
-    _validate_window(window)
     x = window.points()
     f, g, _ = coefficient_arrays(window.a.a * x, mode, delta)
     if mode == "galileo":
@@ -276,12 +280,6 @@ def _edge_rows(n: int, inflow: np.ndarray):
         row_starts + sources[:, None, :],
         weights,
     )
-
-
-def _eigen_pair(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """The transported pair (psi, psi') = (even + odd, even - odd) as one
-    new (2, N) array."""
-    return np.stack((even + odd, even - odd))
 
 
 def _assemble(grid: Grid, pair: np.ndarray) -> EnlargedSpinorField:
@@ -509,7 +507,7 @@ def evolve(
 
     psi0 = ScalarField(grid=grid, values=packet.evaluate(generator.x))
     state0 = embed_initial(psi0)
-    pair = _eigen_pair(state0.even, state0.odd)
+    pair = np.stack((extract_inertial(state0).values, extract_rindler(state0).values))
 
     dt = cfl_dt(window, generator, solver.cfl)
     t_final = solver.t_final

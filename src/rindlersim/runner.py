@@ -18,11 +18,13 @@ writes a file does not change its bytes.
 import json
 import math
 import os
+import re
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .coords import Acceleration
+from .embedding import extract_inertial, extract_rindler
 from .errors import ConfigError
 from .evolution import (
     EvolutionResult,
@@ -58,6 +60,7 @@ SNAPSHOT_HEADER = (
     "x,Re(ψᵉ),Im(ψᵉ),Re(ψᵒ),Im(ψᵒ),"
     "Re(ψ),Im(ψ),Re(ψ'),Im(ψ')"
 )
+_SNAPSHOT_NAME = re.compile(r"snapshot_(\d{6})\.csv")
 
 _SCHEME_ALIASES = {
     "central-4th-order": "central4",
@@ -209,7 +212,7 @@ def load_config(source) -> SimulationConfig:
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError("output_dir must be a string path")
 
-    # validates the window and the mode before any run starts
+    # validates the mode before any run starts; the window was checked when built
     generator = build_generator(window, mode=mode_raw["kind"], delta=delta)
     return SimulationConfig(
         generator=generator, packet=packet, solver=solver, output_dir=output_dir
@@ -231,11 +234,16 @@ def _write_csv(path, header: str, rows):
 def _write_snapshot(path, x, state):
     """One snapshot CSV: x and the real and imaginary parts of psi_e,
     psi_o, psi = psi_e + psi_o and psi' = psi_e - psi_o, row by row."""
-    even, odd = state.even, state.odd
+    columns = (
+        state.even,
+        state.odd,
+        extract_inertial(state).values,
+        extract_rindler(state).values,
+    )
     table = np.empty((x.size, 9))
     table[:, 0] = x
     # a C-ordered (N, 4) complex array viewed as floats is (N, 8): Re, Im, ...
-    table[:, 1:] = np.stack((even, odd, even + odd, even - odd), axis=1).view(float)
+    table[:, 1:] = np.stack(columns, axis=1).view(float)
     _write_csv(path, SNAPSHOT_HEADER, (map(repr, row) for row in table.tolist()))
 
 
@@ -356,7 +364,10 @@ def _report_payload(config: SimulationConfig, result: EvolutionResult) -> dict:
 
 def cmd_evolve(config: SimulationConfig, out_dir=None) -> dict:
     """Run one evolution; write per-snapshot CSVs and the report JSON
-    into an output directory made after the run returns.
+    into an output directory made after the run returns.  Snapshot CSVs
+    there from an earlier, longer run (snapshot_NNNNNN.csv with an index
+    past this run's last) are deleted; no other file is touched, and a
+    run that fails deletes nothing.
 
     Returns a small manifest with the written paths and the in-memory
     result.  Reruns with an identical configuration are byte-identical.
@@ -367,11 +378,16 @@ def cmd_evolve(config: SimulationConfig, out_dir=None) -> dict:
 
     result = evolve(config.packet, config.generator, config.solver)
     os.makedirs(target, exist_ok=True)
+    count = len(result.snapshots)
+    # an earlier, longer run into target left snapshots past this run's last
+    for name in os.listdir(target):
+        match = _SNAPSHOT_NAME.fullmatch(name)
+        if match and int(match.group(1)) >= count:
+            os.remove(os.path.join(target, name))
 
     x = config.generator.x
     snapshot_paths = [
-        os.path.join(target, f"snapshot_{index:06d}.csv")
-        for index in range(len(result.snapshots))
+        os.path.join(target, f"snapshot_{index:06d}.csv") for index in range(count)
     ]
     _write_snapshots(snapshot_paths, x, result.snapshots)
 

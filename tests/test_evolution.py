@@ -8,6 +8,7 @@ from rindlersim.coords import Acceleration
 from rindlersim.embedding import EnlargedSpinorField, Grid, field_norm
 from rindlersim import evolution
 from rindlersim.errors import ConfigError, InstabilityError
+from rindlersim.hamiltonian import find_singularity
 from rindlersim.evolution import (
     NORM_GROWTH_TOL,
     GridWindow,
@@ -49,6 +50,28 @@ def test_build_generator_rejects_margin_contact():
     # entirely on one side but touching the excluded band
     with pytest.raises(ConfigError):
         build_generator(GridWindow(x_min=3.63, x_max=4.5, n=128, a=A1))
+
+
+_RIGHT_END = find_singularity(A1).branch(A1, 10.0)[1]
+_BAND = "its side of the singular band at u = a*x = 3.6242 (with a*x > 1)"
+
+
+@pytest.mark.parametrize(
+    "x_min, x_max, n, message",
+    [
+        (3.0, 4.0, 128, f"window [3, 4] must lie in [1, 3.5742], {_BAND}"),
+        (0.5, 2.0, 128, f"window [0.5, 2] must lie in [1, 3.5742], {_BAND}"),
+        (3.63, 4.5, 128, f"window [3.63, 4.5] must lie in [3.6742, 1e+305], {_BAND}"),
+        (4.5, 12.0, 32, "evolution needs at least 64 grid points, got 32"),
+        (4.5, float(np.nextafter(_RIGHT_END, math.inf)), 128,
+         f"window [4.5, 1e+305] must lie in [3.6742, 1e+305], {_BAND}"),
+    ],
+    ids=["across-the-band", "below-u-1", "margin-contact", "n-32", "past-the-right-end"],
+)
+def test_an_invalid_window_is_rejected_when_it_is_built(x_min, x_max, n, message):
+    with pytest.raises(ConfigError) as caught:
+        GridWindow(x_min, x_max, n, A1)
+    assert str(caught.value) == message
 
 
 def test_build_generator_respects_acceleration_scaling():

@@ -153,11 +153,9 @@ def check_run(config):
         window["x_min"], window["x_max"], window["N"], Acceleration(config["a"])
     )
     packet = WavepacketSpec(**config["packet"])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # a marginal galileo window
-        reference = characteristics_rindler(
-            packet, report["rows"][-1]["t"], grid_window, mode, delta
-        )
+    reference = characteristics_rindler(
+        packet, report["rows"][-1]["t"], grid_window, mode, delta
+    )
     final = tables[-1]
     error = np.max(np.abs(final[:, 7] + 1j * final[:, 8] - reference.values))
     length = packet.sigma / (1.0 + abs(packet.k0) * packet.sigma)

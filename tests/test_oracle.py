@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rindlersim import _travel_time
+from rindlersim import _travel_time, oracle
 from rindlersim.coords import Acceleration
 from rindlersim.embedding import Grid, ScalarField
 from rindlersim.errors import ConfigError, GridMismatchError, OracleCoverageError
@@ -180,10 +180,10 @@ def test_left_branch_traces_hit_the_domain_edge():
 
 
 @pytest.mark.parametrize("a", [0.1, 1.0, 1.1, 3.0, 49.0])
-def test_windows_the_solver_accepts_are_covered_by_the_relaxed_oracle(a):
-    # on every window build_generator accepts, the oracle on that window
-    # returns the packet itself at t = 0, and a finite field at t = 1.
-    # Each window has one edge at, just below or just above a branch end.
+def test_windows_the_solver_accepts_are_covered_by_the_oracle(a):
+    # on every window that can be built, the oracle on that window returns
+    # the packet itself at t = 0, and a finite field at t = 1.  Each window
+    # has one edge at, just below or just above a branch end.
     acc = Acceleration(a)
     point = find_singularity(acc)
     windows = []
@@ -196,7 +196,6 @@ def test_windows_the_solver_accepts_are_covered_by_the_relaxed_oracle(a):
     for x_min, x_max in windows:
         try:
             window = GridWindow(x_min, x_max, 64, acc)
-            build_generator(window)
         except ConfigError:
             continue
         accepted += 1
@@ -206,6 +205,16 @@ def test_windows_the_solver_accepts_are_covered_by_the_relaxed_oracle(a):
     # x_min at and above the lower end of each branch, x_max at and below
     # the upper end of each
     assert accepted == 8
+
+
+def test_the_oracle_is_never_given_a_window_across_the_band(monkeypatch):
+    # the window fails when it is built, so the oracle never samples the
+    # coefficients next to the root of D
+    sampled = []
+    monkeypatch.setattr(oracle, "coefficient_arrays", lambda *args: sampled.append(args))
+    with pytest.raises(ConfigError, match="side of the singular band"):
+        characteristics_rindler(PACKET, 1.0, GridWindow(3.0, 4.0, 128, A1))
+    assert not sampled
 
 
 def reference_backtrace(x, t, speed, substep, valid_lo=-math.inf, valid_hi=math.inf):

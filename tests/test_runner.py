@@ -300,6 +300,37 @@ def test_cmd_evolve_deterministic_reruns(tmp_path):
         ).read_bytes()
 
 
+def _directory_bytes(path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def test_rerun_into_the_same_directory_leaves_no_stale_snapshots(tmp_path):
+    # a stride-1 run, then a shorter stride-100 run into the same directory:
+    # the directory must read as the shorter run's alone, apart from files
+    # that are not snapshots of a run
+    def run(stride, out, **time):
+        raw = standard_config(out, n=128, t_final=0.1)
+        raw["time"].update(snapshot_stride=stride, **time)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        return main(["evolve", "--config", str(cfg)])
+
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert run(1, out) == 0
+    assert len(list(out.glob("snapshot_*.csv"))) > 2
+    foreign = {"notes.txt": b"kept", "snapshot_99.csv": b"", "snapshot_000099.csv.bak": b""}
+    for name, data in foreign.items():
+        (out / name).write_bytes(data)
+    assert run(100, out) == 0
+    assert run(100, fresh) == 0
+    assert len(list(fresh.glob("snapshot_*.csv"))) == 2
+    assert _directory_bytes(out) == dict(_directory_bytes(fresh), **foreign)
+    # a run that fails deletes nothing
+    before = _directory_bytes(out)
+    assert run(1, out, cfl=1e-310) == 2
+    assert _directory_bytes(out) == before
+
+
 def test_cmd_evolve_galileo_and_ultra_modes(tmp_path):
     raw = standard_config(tmp_path / "gal", n=128, t_final=0.002)
     raw["window"] = {"x_min": 1.0001, "x_max": 1.005, "N": 128}
