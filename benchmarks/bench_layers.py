@@ -20,11 +20,10 @@ import numpy as np
 import pytest
 
 from rindlersim import Acceleration, GridWindow, WavepacketSpec
-from rindlersim.embedding import EnlargedSpinorField
+from rindlersim.embedding import EnlargedSpinorField, extract_inertial, extract_rindler
 from rindlersim.evolution import (
     SolverConfig,
     TransportStepper,
-    _eigen_pair,
     _report_row,
     build_generator,
     cfl_dt,
@@ -93,7 +92,7 @@ def demo04_snapshot():
     psi = WavepacketSpec(x0=7.0, sigma=0.15, k0=2.0).evaluate(x)
     psi_prime = WavepacketSpec(x0=6.9, sigma=0.14, k0=2.0).evaluate(x)
     state = EnlargedSpinorField(DEMO04_GRID, 0.5 * (psi + psi_prime), 0.5 * (psi - psi_prime))
-    return state, _eigen_pair(state.even, state.odd)
+    return state, np.stack((extract_inertial(state).values, extract_rindler(state).values))
 
 
 def test_report_row_2048(benchmark):

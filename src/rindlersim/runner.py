@@ -60,7 +60,9 @@ SNAPSHOT_HEADER = (
     "x,Re(ψᵉ),Im(ψᵉ),Re(ψᵒ),Im(ψᵒ),"
     "Re(ψ),Im(ψ),Re(ψ'),Im(ψ')"
 )
-_SNAPSHOT_NAME = re.compile(r"snapshot_(\d{6})\.csv")
+# the names f"snapshot_{index:06d}.csv" gives, and no others: ASCII digits,
+# six of them, or more with no leading zero from index 10**6 on
+_SNAPSHOT_NAME = re.compile(r"snapshot_([0-9]{6}|[1-9][0-9]{6,})\.csv")
 
 _SCHEME_ALIASES = {
     "central-4th-order": "central4",

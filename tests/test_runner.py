@@ -318,9 +318,17 @@ def test_rerun_into_the_same_directory_leaves_no_stale_snapshots(tmp_path):
     out, fresh = tmp_path / "out", tmp_path / "fresh"
     assert run(1, out) == 0
     assert len(list(out.glob("snapshot_*.csv"))) > 2
-    foreign = {"notes.txt": b"kept", "snapshot_99.csv": b"", "snapshot_000099.csv.bak": b""}
+    foreign = {
+        "notes.txt": b"kept",
+        "snapshot_99.csv": b"",
+        "snapshot_000099.csv.bak": b"",
+        "snapshot_0000099.csv": b"",
+        "snapshot_\u0660\u0660\u0660\u0660\u0661\u0665.csv": b"",  # Arabic-Indic digits
+    }
     for name, data in foreign.items():
         (out / name).write_bytes(data)
+    # a name a run with more than 10**6 snapshots writes is stale too
+    (out / "snapshot_1000000.csv").write_bytes(b"")
     assert run(100, out) == 0
     assert run(100, fresh) == 0
     assert len(list(fresh.glob("snapshot_*.csv"))) == 2
