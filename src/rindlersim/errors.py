@@ -28,9 +28,9 @@ class ConfigError(RindlerSimError, ValueError):
 
 
 class InstabilityError(RindlerSimError, ArithmeticError):
-    """The observables of a snapshot are not finite, or the norm of the
-    inertial field psi that the scheme bounds (the SBP norm for central4)
-    grew past its initial value at a snapshot.  Maps to exit code 3."""
+    """The observables of a snapshot are not finite, or the SBP norm of
+    the inertial field psi, which the scheme bounds, grew past its
+    initial value at a snapshot.  Maps to exit code 3."""
 
     def __init__(self, step_index: int, message: str = ""):
         self.step_index = step_index

@@ -21,7 +21,7 @@ Windows must stay clear of the denominator singularity: a GridWindow
 checks that when it is built, so every window that exists is one the
 solver and the oracle accept.
 
-Boundary handling: the central4 derivative is the diagonal-norm SBP(4,2)
+Boundary handling: the derivative is the diagonal-norm SBP(4,2)
 operator of Mattsson & Nordstrom (2004, J. Comput. Phys. 199): the
 fourth-order central stencil inside, four closure rows at each edge,
 and norm weights 17/48, 59/48, 43/48, 49/48 (times dx) on the edge
@@ -30,8 +30,7 @@ penalty of Carpenter, Gottlieb & Abarbanel (1994, J. Comput. Phys.
 111), -(c_0 / (h_0 dx)) u_0, on an edge where its characteristics
 enter; where they leave, the closure lets the field pass out.  The
 semi-discrete operator has no growing mode, so the field needs no
-absorbing layer.  upwind1 takes zero inflow data too, as a zero sample
-beyond an inflow edge.
+absorbing layer.
 """
 
 import cmath
@@ -83,8 +82,6 @@ NORM_GROWTH_TOL = 1e-9
 # than t_final times the speed) is a mistake, not a run to wait for.
 MAX_STEPS = 10**7
 
-_SCHEMES = ("central4", "upwind1")
-
 
 @dataclass(frozen=True)
 class GridWindow(Grid):
@@ -113,14 +110,11 @@ class GridWindow(Grid):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    scheme: str = "central4"
     cfl: float = 0.5
     t_final: float = 1.0
     snapshot_stride: int = 1
 
     def __post_init__(self):
-        if self.scheme not in _SCHEMES:
-            raise ConfigError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
         if not (0.0 < self.cfl <= 1.0):
             raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
         if not (0.0 <= self.t_final < math.inf):
@@ -308,14 +302,11 @@ class TransportStepper:
         self.dx = generator.window.dx
         n = generator.window.n
         speeds = np.stack((generator.c_plus, generator.c_minus))
-        self._central = solver.scheme == "central4"
         # numpy divides complex by real as a product with the reciprocal, so
         # this multiplier gives the values of _derivative_central4's division
-        self._inverse_spacing = 1.0 / (12.0 * self.dx if self._central else self.dx)
+        self._inverse_spacing = 1.0 / (12.0 * self.dx)
         # complex, so that products with the complex state need no cast buffer
         self._minus_speeds = (-speeds).astype(complex)
-        # upwind1 takes backward differences where c >= 0, forward ones elsewhere
-        self._backward = speeds >= 0.0
         # (component, edge): the speed points into the window at (left, right)
         self._inflow = np.stack((speeds[:, 0] > 0.0, speeds[:, -1] < 0.0), axis=1)
         self._edge_targets, self._edge_sources, self._edge_weights = _edge_rows(
@@ -324,14 +315,12 @@ class TransportStepper:
         self._k, self._stage, self._acc = (
             np.empty((2, n), dtype=complex) for _ in range(3)
         )
-        self._scratch = np.empty((2, n + 1), dtype=complex)
+        self._scratch = np.empty((2, n), dtype=complex)
         self._norm_weights = np.ones(n)
-        if self._central:
-            self._norm_weights[:4] = self._norm_weights[:-5:-1] = _SBP_NORM
+        self._norm_weights[:4] = self._norm_weights[:-5:-1] = _SBP_NORM
 
     def norm(self, values: np.ndarray) -> float:
-        """The norm of one row that the scheme does not let grow: the SBP
-        norm for central4 (SBP-SAT), the plain one for upwind1."""
+        """The SBP norm of one row, which SBP-SAT does not let grow."""
         # overflow shows up as non-finite observables, which evolve rejects
         with np.errstate(over="ignore"):
             weighted = np.sum(self._norm_weights * np.abs(values) ** 2)
@@ -340,37 +329,20 @@ class TransportStepper:
     def _rhs(self, pair: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = -c d(pair)/dx, row by row, without allocating.  Terms are
         combined in the order _derivative_central4 uses, so that the two
-        routes give the same floats away from a folded SAT weight.
-
-        upwind1 reads a zero sample beyond an inflow edge, its SAT
-        zero-inflow penalty: for a speed of one sign its matrix is
-        triangular with diagonal -|c| / dx.  A one-sided difference into
-        the window there instead would leave a defective zero eigenvalue,
-        on which round-off grows linearly in time."""
-        if self._central:
-            inner = out[:, 2:-2]
-            scratch = self._scratch[:, 2:-3]
-            np.multiply(8.0, pair[:, 3:-1], out=inner)
-            np.subtract(inner, pair[:, 4:], out=inner)
-            np.multiply(8.0, pair[:, 1:-3], out=scratch)
-            np.subtract(inner, scratch, out=inner)
-            np.add(inner, pair[:, :-4], out=inner)
-            terms = pair.take(self._edge_sources)
-            terms *= self._edge_weights
-            edges = terms[0]
-            for term in terms[1:]:
-                edges += term
-            out.put(self._edge_targets, edges)
-        else:
-            # diff[:, i] = pair[:, i] - pair[:, i - 1]: the backward difference
-            # at column i and the forward one at column i - 1
-            diff = self._scratch
-            np.subtract(pair[:, 1:], pair[:, :-1], out=diff[:, 1:-1])
-            # a zero sample beyond each edge: only an inflow edge reads it
-            diff[:, 0] = pair[:, 0]
-            np.negative(pair[:, -1], out=diff[:, -1])
-            np.copyto(out, diff[:, 1:])
-            np.copyto(out, diff[:, :-1], where=self._backward)
+        routes give the same floats away from a folded SAT weight."""
+        inner = out[:, 2:-2]
+        scratch = self._scratch[:, 2:-2]
+        np.multiply(8.0, pair[:, 3:-1], out=inner)
+        np.subtract(inner, pair[:, 4:], out=inner)
+        np.multiply(8.0, pair[:, 1:-3], out=scratch)
+        np.subtract(inner, scratch, out=inner)
+        np.add(inner, pair[:, :-4], out=inner)
+        terms = pair.take(self._edge_sources)
+        terms *= self._edge_weights
+        edges = terms[0]
+        for term in terms[1:]:
+            edges += term
+        out.put(self._edge_targets, edges)
         np.multiply(out, self._inverse_spacing, out=out)
         np.multiply(self._minus_speeds, out, out=out)
         return out
@@ -398,10 +370,6 @@ class TransportStepper:
         eigenbasis decoupling; kept as a cross-check of step_eigen.  The
         SAT penalty is applied explicitly to (psi, psi') here, not folded
         into the closure weights."""
-        if self.solver.scheme != "central4":
-            raise ConfigError(
-                "the coupled cross-check needs the direction-free central scheme"
-            )
         gen = self.generator
         f, g = gen.f, gen.g
         edges = [0, -1]

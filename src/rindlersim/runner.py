@@ -64,10 +64,8 @@ SNAPSHOT_HEADER = (
 # six of them, or more with no leading zero from index 10**6 on
 _SNAPSHOT_NAME = re.compile(r"snapshot_([0-9]{6}|[1-9][0-9]{6,})\.csv")
 
-_SCHEME_ALIASES = {
-    "central-4th-order": "central4",
-    "upwind-1st-order": "upwind1",
-}
+# the spellings of the one derivative, SBP(4,2) with SAT
+_DERIVATIVES = ("central4", "central-4th-order")
 
 
 @dataclass(frozen=True)
@@ -113,7 +111,7 @@ class SimulationConfig:
                 "cfl": self.solver.cfl,
                 "snapshot_stride": self.solver.snapshot_stride,
             },
-            "scheme": {"derivative": self.solver.scheme},
+            "scheme": {"derivative": "central4"},
             "mode": self.mode if self.delta is None else {"kind": self.mode, "delta": self.delta},
         }
         return d
@@ -168,10 +166,7 @@ def load_config(source) -> SimulationConfig:
         where="configuration",
     )
 
-    a_val = _as_number(raw["a"], "a")
-    if a_val <= 0:
-        raise ConfigError(f"a must be positive, got {a_val}")
-    a = Acceleration(a_val)
+    a = Acceleration(_as_number(raw["a"], "a"))
 
     win = _require_keys(raw["window"], {"x_min", "x_max", "N"}, {"x_min", "x_max", "N"}, "window")
     window = GridWindow(
@@ -194,7 +189,11 @@ def load_config(source) -> SimulationConfig:
         derivative = scheme_raw["derivative"]
         if not isinstance(derivative, str):
             raise ConfigError(f"scheme.derivative must be a string, got {derivative!r}")
-        solver_args["scheme"] = _SCHEME_ALIASES.get(derivative, derivative)
+        if derivative not in _DERIVATIVES:
+            raise ConfigError(
+                f"scheme.derivative must be 'central4' (SBP(4,2) with SAT), got "
+                f"{derivative!r}. The first-order upwind scheme was removed."
+            )
     # "sponge" is the old name of the one boundary treatment, SBP-SAT
     boundary = scheme_raw.get("boundary", "sponge")
     if boundary != "sponge":

@@ -50,7 +50,7 @@ U_STAR = 3.6241998947013467
 # window edge and its boundary tail breaks the tight norm/error bounds,
 # so the acceptance run uses a width with full 10-sigma clearance
 STD_PACKET = WavepacketSpec(x0=6.0, sigma=0.15, k0=0.0)
-STD_SOLVER = SolverConfig(scheme="central4", cfl=0.5, t_final=1.0, snapshot_stride=500)
+STD_SOLVER = SolverConfig(cfl=0.5, t_final=1.0, snapshot_stride=500)
 
 
 @contextmanager

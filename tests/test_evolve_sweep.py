@@ -1,5 +1,5 @@
 """A property sweep of `rindlersim evolve` over windows on either
-branch, grids, packets, cfl, schemes and modes: every run exits cleanly,
+branch, grids, packets, cfl and modes: every run exits cleanly,
 psi's SBP norm never rises, and psi' keeps near the zero-inflow
 characteristics reference on the run's own window."""
 
@@ -33,10 +33,11 @@ SBP_EDGE_WEIGHTS = np.array([17.0, 59.0, 43.0, 49.0]) / 48.0
 # The sweep's bound on max|psi' - reference|, for runs of at most 40 steps:
 # DX_BOUND * amplitude * dx / l, with l the packet's width shortened by
 # its carrier wavelength, plus twice the packet's value at the window
-# edges, from which the zero inflow data jump.  Over 1500 random draws
-# with no such jump, the error reached 0.22 dx / l (central4) and
-# 1.63 dx / l (upwind1) times the amplitude.
-DX_BOUND = 4.0
+# edges, from which the zero inflow data jump.  Of 11200 random draws
+# (seven hypothesis seeds of 1600), 1815 ran with no such jump, and
+# there the error reached 0.40 dx / l times the amplitude: the bound is
+# four times that.
+DX_BOUND = 1.6
 
 
 def branch_u(left: bool, s: float) -> float:
@@ -52,7 +53,7 @@ def branch_u(left: bool, s: float) -> float:
 @st.composite
 def evolve_configs(draw):
     """An evolve config: a window on either branch, any grid, packet,
-    cfl, scheme and mode, and t_final a drawn number of CFL steps (at
+    cfl and mode, and t_final a drawn number of CFL steps (at
     most 40), so that every run is short."""
     a = draw(st.floats(0.1, 10.0))
     left = draw(st.booleans())
@@ -78,7 +79,7 @@ def evolve_configs(draw):
             "cfl": draw(st.floats(0.0, 1.0, exclude_min=True)),
             "snapshot_stride": draw(st.integers(1, 40)),
         },
-        "scheme": {"derivative": draw(st.sampled_from(["central4", "upwind1"]))},
+        "scheme": {"derivative": "central4"},
         "mode": {"kind": "ultra", "delta": draw(st.floats(1e-12, 0.9))}
         if mode == "ultra"
         else mode,
@@ -117,12 +118,11 @@ def run_cli(config):
     return code, stderr.getvalue(), caught, tables, report
 
 
-def sbp_norm(values, scheme):
-    """The SBP norm over dx (the plain one for upwind1), summed on values
-    scaled to their peak so that tiny values keep their digits."""
+def sbp_norm(values):
+    """The SBP norm over dx, summed on values scaled to their peak so that
+    tiny values keep their digits."""
     weights = np.ones(values.size)
-    if scheme == "central4":
-        weights[:4] = weights[:-5:-1] = SBP_EDGE_WEIGHTS
+    weights[:4] = weights[:-5:-1] = SBP_EDGE_WEIGHTS
     peak = np.max(np.abs(values))
     if peak == 0.0:
         return 0.0
@@ -144,8 +144,7 @@ def check_run(config):
         assert stderr.startswith("instability: non-finite observables"), stderr
     if code != 0:
         return 0.0
-    scheme = config["scheme"]["derivative"]
-    norms = [sbp_norm(table[:, 5] + 1j * table[:, 6], scheme) for table in tables]
+    norms = [sbp_norm(table[:, 5] + 1j * table[:, 6]) for table in tables]
     assert all(b <= a * (1.0 + 1e-12) for a, b in zip(norms, norms[1:])), norms
     window, mode = config["window"], config["mode"]
     mode, delta = (mode, None) if isinstance(mode, str) else (mode["kind"], mode["delta"])

@@ -12,7 +12,7 @@ import rindlersim
 from rindlersim.cli import main
 from rindlersim.coords import Acceleration
 from rindlersim.embedding import EnlargedSpinorField, Grid
-from rindlersim.errors import ConfigError
+from rindlersim.errors import ConfigError, CoordinateDomainError
 from rindlersim.runner import (
     SNAPSHOT_HEADER,
     _write_snapshot,
@@ -76,7 +76,7 @@ def test_missing_and_invalid_fields(tmp_path):
         load_config(raw)
     raw = standard_config(tmp_path)
     raw["a"] = -2.0
-    with pytest.raises(ConfigError):
+    with pytest.raises(CoordinateDomainError, match="acceleration must be positive"):
         load_config(raw)
     raw = standard_config(tmp_path)
     raw["window"]["N"] = 128.5
@@ -118,11 +118,14 @@ def test_malformed_json_is_a_config_error(tmp_path):
 
 
 def test_scheme_aliases(tmp_path):
+    # central4 is the one derivative; its long spelling loads too
     raw = standard_config(tmp_path)
     raw["scheme"]["derivative"] = "central-4th-order"
-    assert load_config(raw).solver.scheme == "central4"
-    raw["scheme"]["derivative"] = "upwind-1st-order"
-    assert load_config(raw).solver.scheme == "upwind1"
+    assert load_config(raw).physics_dict()["scheme"] == {"derivative": "central4"}
+    for removed in ("upwind1", "upwind-1st-order"):
+        raw["scheme"]["derivative"] = removed
+        with pytest.raises(ConfigError, match="upwind scheme was removed"):
+            load_config(raw)
 
 
 @pytest.mark.parametrize(
@@ -656,6 +659,13 @@ def _evolve_argv(edit):
     "argv, code, stderr",
     [
         (_evolve_argv(lambda raw: raw.update(a="1.0")), 2, "error: a must be a number"),
+        (_evolve_argv(lambda raw: raw.update(a=0.0)), 2,
+         "error: acceleration must be positive"),
+        (_evolve_argv(lambda raw: raw.update(a=-2.0)), 2,
+         "error: acceleration must be positive"),
+        (_evolve_argv(lambda raw: raw["scheme"].update(derivative="upwind1")), 2,
+         "error: scheme.derivative must be 'central4' (SBP(4,2) with SAT), got 'upwind1'. "
+         "The first-order upwind scheme was removed.\n"),
         (_evolve_argv(lambda raw: raw["window"].update(x_min=math.nan)), 2,
          "error: window.x_min must be finite"),
         (_evolve_argv(lambda raw: raw["window"].update(x_max=4.5)), 2,
@@ -686,7 +696,8 @@ def _evolve_argv(edit):
          "error: need at least 2 samples"),
         (lambda tmp_path: ["singularity", "--json"], 0, ""),
     ],
-    ids=["a-string", "x_min-nan", "window-empty", "output_dir-number", "no-output_dir",
+    ids=["a-string", "a-zero", "a-negative", "derivative-upwind1", "x_min-nan",
+         "window-empty", "output_dir-number", "no-output_dir",
          "sigma-underflow", "sigma-overflow", "amplitude-1e-310", "amplitude-1e200",
          "t_final-1e308", "cfl-1e-310", "cfl-1e-200",
          "values-not-numbers", "coeffs-one-sample", "singularity"],
