@@ -1,7 +1,8 @@
 """Layer benches on pytest-benchmark: importing the CLI, config
 loading, coefficient sampling, both routes of the characteristics
 oracle, the stepper's construction, the RK4 step, one snapshot's report
-row and one snapshot CSV, each timed on its own.
+row, one snapshot CSV at N = 2048 and at N = 16384, and the report.json
+of a demos/04 run, each timed on its own.
 
 Run from the repository root:
 
@@ -11,6 +12,7 @@ The file name does not match test_*.py and benchmarks/ lies outside the
 `testpaths` of pyproject.toml, so the tier-1 suite never collects it.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -27,10 +29,11 @@ from rindlersim.evolution import (
     _report_row,
     build_generator,
     cfl_dt,
+    evolve,
 )
 from rindlersim.hamiltonian import coefficient_arrays
 from rindlersim.oracle import backtrace_origins, transport_speed, travel_time_origins
-from rindlersim.runner import _write_snapshot, load_config
+from rindlersim.runner import _report_payload, _write_snapshot, load_config
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -85,13 +88,14 @@ def test_travel_time_origins_demo04(benchmark):
     assert entered[0] and np.all(np.diff(origins[~entered]) > 0.0)
 
 
-def demo04_snapshot():
-    """A two-component state on the demos/04 grid, with psi and psi' two
-    packets apart, and its transported pair (psi, psi')."""
-    x = DEMO04_GRID.points()
+def demo04_snapshot(grid=DEMO04_GRID):
+    """A two-component state on the demos/04 grid, or on another grid of
+    its window, with psi and psi' two packets apart, and its transported
+    pair (psi, psi')."""
+    x = grid.points()
     psi = WavepacketSpec(x0=7.0, sigma=0.15, k0=2.0).evaluate(x)
     psi_prime = WavepacketSpec(x0=6.9, sigma=0.14, k0=2.0).evaluate(x)
-    state = EnlargedSpinorField(DEMO04_GRID, 0.5 * (psi + psi_prime), 0.5 * (psi - psi_prime))
+    state = EnlargedSpinorField(grid, 0.5 * (psi + psi_prime), 0.5 * (psi - psi_prime))
     return state, np.stack((extract_inertial(state).values, extract_rindler(state).values))
 
 
@@ -106,6 +110,30 @@ def test_write_snapshot_2048(benchmark, tmp_path):
     path = tmp_path / "snapshot.csv"
     benchmark(_write_snapshot, path, DEMO04_GRID.points(), state)
     assert path.stat().st_size > 0
+
+
+def test_write_snapshot_16384(benchmark, tmp_path):
+    # the size of a fine_grid snapshot
+    grid = GridWindow(4.5, 12.0, 16384, A1).grid()
+    state, _ = demo04_snapshot(grid)
+    path = tmp_path / "snapshot.csv"
+    benchmark(_write_snapshot, path, grid.points(), state)
+    assert path.stat().st_size > 0
+
+
+def test_write_report_demo04(benchmark, tmp_path):
+    # report.json of a demos/04 run (5 rows), as cmd_evolve writes it
+    config = load_config(DEMO04_CONFIG)
+    result = evolve(config.packet, config.generator, config.solver)
+    path = tmp_path / "report.json"
+
+    def write_report():
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            json.dump(_report_payload(config, result), handle, indent=2, sort_keys=True)
+            handle.write("\n")
+
+    benchmark(write_report)
+    assert len(json.loads(path.read_text())["rows"]) == len(result.snapshots)
 
 
 def test_import_cli(benchmark):

@@ -9,10 +9,12 @@ with a fixed field set; unknown fields are rejected outright.
 load_config builds the run's generator once; cmd_evolve runs on it and
 makes its output directory only after the run returns.
 
-Snapshot CSVs are streamed row by row and dealt round-robin over one
-writer per CPU in the process's affinity set: the calling process
-writes the first share and forked children the others.  Which process
-writes a file does not change its bytes.
+Snapshot CSVs are formatted a block of rows at a time by the vectorised
+shortest round-trip formatter of _shortest, whose fields are exactly
+repr(float(v)), and dealt round-robin over one writer per CPU in the
+process's affinity set: the calling process writes the first share and
+forked children the others.  Which process writes a file does not
+change its bytes.
 """
 
 import json
@@ -23,6 +25,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from ._shortest import write_csv_body
 from .coords import Acceleration
 from .embedding import extract_inertial, extract_rindler
 from .errors import ConfigError
@@ -234,7 +237,10 @@ def _write_csv(path, header: str, rows):
 
 def _write_snapshot(path, x, state):
     """One snapshot CSV: x and the real and imaginary parts of psi_e,
-    psi_o, psi = psi_e + psi_o and psi' = psi_e - psi_o, row by row."""
+    psi_o, psi = psi_e + psi_o and psi' = psi_e - psi_o, one grid point
+    a row.  The table is formatted by _shortest.write_csv_body, at most
+    CHUNK_ROWS rows at a time; every field is repr(float(v)) and a
+    non-finite value raises ValueError."""
     columns = (
         state.even,
         state.odd,
@@ -245,7 +251,9 @@ def _write_snapshot(path, x, state):
     table[:, 0] = x
     # a C-ordered (N, 4) complex array viewed as floats is (N, 8): Re, Im, ...
     table[:, 1:] = np.stack(columns, axis=1).view(float)
-    _write_csv(path, SNAPSHOT_HEADER, (map(repr, row) for row in table.tolist()))
+    with open(path, "wb") as handle:
+        handle.write((SNAPSHOT_HEADER + "\n").encode("utf-8"))
+        write_csv_body(handle, table)
 
 
 def _writer_count(n_files: int) -> int:
