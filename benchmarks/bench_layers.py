@@ -1,8 +1,9 @@
 """Layer benches on pytest-benchmark: importing the CLI, config
 loading, coefficient sampling, both routes of the characteristics
-oracle, the stepper's construction, the RK4 step, one snapshot's report
-row, one snapshot CSV at N = 2048 and at N = 16384, and the report.json
-of a demos/04 run, each timed on its own.
+oracle, the stepper's construction, the RK4 step at N = 512, 2048 and
+16384, one whole evolve of the longest long_horizon run, one snapshot's
+report row, one snapshot CSV at N = 2048 and at N = 16384, and the
+report.json of a demos/04 run, each timed on its own.
 
 Run from the repository root:
 
@@ -151,7 +152,7 @@ def test_transport_stepper_2048(benchmark):
     benchmark(TransportStepper, generator, SolverConfig())
 
 
-@pytest.mark.parametrize("n", [512, 16384])
+@pytest.mark.parametrize("n", [512, 2048, 16384])
 def test_step_eigen(benchmark, n):
     window = GridWindow(4.5, 12.0, n, A1)
     stepper = TransportStepper(build_generator(window), SolverConfig())
@@ -164,3 +165,14 @@ def test_step_eigen(benchmark, n):
         setup=lambda: ((start.copy(), dt), {}),
         rounds=200 if n <= 2048 else 40,
     )
+
+
+def test_evolve_long_horizon(benchmark):
+    # the longest run of perfbench's long_horizon workload: [1.5, 3] at
+    # N = 512 to t = 2.5, 2657 steps, a snapshot every 106 of them
+    window = GridWindow(1.5, 3.0, 512, A1)
+    generator = build_generator(window)
+    packet = WavepacketSpec(x0=2.0, sigma=0.05, k0=0.0)
+    solver = SolverConfig(t_final=2.5, snapshot_stride=106)
+    result = benchmark.pedantic(evolve, (packet, generator, solver), rounds=5)
+    assert len(result.times) == 2657 // 106 + 2

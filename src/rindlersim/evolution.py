@@ -239,6 +239,9 @@ _SBP_NORM = (17.0 / 48.0, 59.0 / 48.0, 43.0 / 48.0, 49.0 / 48.0)
 _SBP_EDGE_NORM = _SBP_NORM[0]
 # the SAT penalty -(c_0 / (h_0 dx)) u_0 as a weight of row 0 (times 12 dx)
 _SAT_WEIGHT = 12.0 / _SBP_EDGE_NORM
+# the start of the closure sums: -0.0 + x is x for every double x, while
+# add.reduce starts from +0.0, and +0.0 + -0.0 is +0.0
+_NEGATIVE_ZERO = complex(-0.0, -0.0)
 
 
 def _derivative_central4(v: np.ndarray, dx: float) -> np.ndarray:
@@ -290,10 +293,12 @@ class TransportStepper:
     The pair is one (2, N) complex array: row 0 is the inertial psi,
     moved at c_plus, row 1 the accelerated-frame psi', moved at c_minus.
     step_eigen overwrites it and allocates no array of the grid's size.
-    For that the stepper holds the negated speeds as a (2, N) array, the
-    SBP closure rows of each component with its SAT inflow penalty
-    folded in, and four work buffers: the stage slope k, the stage
-    input, the slope accumulator and one stencil scratch.
+    For that the stepper holds the negated speeds as one flat (2N,)
+    array, the SBP closure rows of each component with its SAT inflow
+    penalty folded in, three (2, N) work buffers (the stage slope k, the
+    stage input and the slope accumulator), a flat (2N,) scratch for
+    8 times the stencil's input, and the (6, 2, 8) closure terms with
+    their (2, 8) sums.
     """
 
     def __init__(self, generator: Generator, solver: SolverConfig):
@@ -303,19 +308,22 @@ class TransportStepper:
         n = generator.window.n
         speeds = np.stack((generator.c_plus, generator.c_minus))
         # numpy divides complex by real as a product with the reciprocal, so
-        # this multiplier gives the values of _derivative_central4's division
+        # this multiplier gives the values of _derivative_central4's division,
+        # signed zeros aside
         self._inverse_spacing = 1.0 / (12.0 * self.dx)
         # complex, so that products with the complex state need no cast buffer
-        self._minus_speeds = (-speeds).astype(complex)
+        self._minus_speeds = (-speeds).astype(complex).reshape(-1)
         # (component, edge): the speed points into the window at (left, right)
         self._inflow = np.stack((speeds[:, 0] > 0.0, speeds[:, -1] < 0.0), axis=1)
         self._edge_targets, self._edge_sources, self._edge_weights = _edge_rows(
             n, self._inflow
         )
+        self._terms = np.empty(self._edge_weights.shape, dtype=complex)
+        self._edges = np.empty(self._edge_weights.shape[1:], dtype=complex)
         self._k, self._stage, self._acc = (
             np.empty((2, n), dtype=complex) for _ in range(3)
         )
-        self._scratch = np.empty((2, n), dtype=complex)
+        self._eight = np.empty(2 * n, dtype=complex)
         self._norm_weights = np.ones(n)
         self._norm_weights[:4] = self._norm_weights[:-5:-1] = _SBP_NORM
 
@@ -327,42 +335,65 @@ class TransportStepper:
             return float(np.sqrt(weighted * self.dx))
 
     def _rhs(self, pair: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out = -c d(pair)/dx, row by row, without allocating.  Terms are
-        combined in the order _derivative_central4 uses, so that the two
-        routes give the same floats away from a folded SAT weight."""
-        inner = out[:, 2:-2]
-        scratch = self._scratch[:, 2:-2]
-        np.multiply(8.0, pair[:, 3:-1], out=inner)
-        np.subtract(inner, pair[:, 4:], out=inner)
-        np.multiply(8.0, pair[:, 1:-3], out=scratch)
-        np.subtract(inner, scratch, out=inner)
-        np.add(inner, pair[:, :-4], out=inner)
-        terms = pair.take(self._edge_sources)
-        terms *= self._edge_weights
-        edges = terms[0]
-        for term in terms[1:]:
-            edges += term
-        out.put(self._edge_targets, edges)
-        np.multiply(out, self._inverse_spacing, out=out)
-        np.multiply(self._minus_speeds, out, out=out)
+        """out = -c d(pair)/dx, row by row, without allocating; out must be
+        C-contiguous, since it is written through a flat view.  A pair in
+        another layout is only read, through a C-ordered copy.
+
+        The interior stencil runs once over both rows as one flat (2N,)
+        sweep.  Its entries at flat indices N-2 .. N+1 read across the
+        seam between the rows; they are closure rows, which the closure
+        put overwrites, as it does the other twelve, so no value read
+        across the seam is kept.  Terms are combined in the order
+        _derivative_central4 uses, so that the two routes give the same
+        floats away from a folded SAT weight (and from signed zeros, which
+        its division by 12 dx may flip)."""
+        values = pair.reshape(-1)
+        flat = out.reshape(-1, copy=False)
+        inner = flat[2:-2]
+        eight = self._eight
+        # 8 v[j+1] - v[j+2] - 8 v[j-1] + v[j-2]
+        np.multiply(8.0, values, eight)
+        np.subtract(eight[3:-1], values[4:], inner)
+        np.subtract(inner, eight[1:-3], inner)
+        np.add(inner, values[:-4], inner)
+        # the closure rows: (term, component, row), summed term by term.
+        # take with mode "raise" fills out through a buffer; every index is
+        # in range, so "clip" gives the same values without one
+        terms = values.take(self._edge_sources, out=self._terms, mode="clip")
+        np.multiply(terms, self._edge_weights, terms)
+        np.add.reduce(terms, axis=0, out=self._edges, initial=_NEGATIVE_ZERO)
+        flat.put(self._edge_targets, self._edges)
+        np.multiply(flat, self._inverse_spacing, flat)
+        np.multiply(self._minus_speeds, flat, flat)
         return out
 
     def step_eigen(self, pair: np.ndarray, dt: float) -> np.ndarray:
         """One RK4 step of size dt on the (2, N) complex pair (psi, psi');
-        pair is overwritten and returned."""
+        pair is overwritten and returned.  The result is
+        pair + dt/6 (((k1 + 2 k2) + 2 k3) + 1.0 k4), term by term."""
         k, stage, acc = self._k, self._stage, self._acc
-        self._rhs(pair, k)
-        np.copyto(acc, k)
-        for fraction, weight in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
-            np.multiply(k, fraction * dt, out=stage)
-            np.add(pair, stage, out=stage)
-            self._rhs(stage, k)
-            # the stage input is spent: reuse it for weight * k
-            np.multiply(k, weight, out=stage)
-            np.add(acc, stage, out=acc)
-        # pair + dt/6 (k1 + 2 k2 + 2 k3 + k4)
-        np.multiply(acc, dt / 6.0, out=acc)
-        np.add(pair, acc, out=pair)
+        half = 0.5 * dt
+        self._rhs(pair, acc)
+        np.multiply(acc, half, stage)
+        np.add(pair, stage, stage)
+        self._rhs(stage, k)
+        # the stage input is spent: reuse it for 2 k
+        np.multiply(k, 2.0, stage)
+        np.add(acc, stage, acc)
+        np.multiply(k, half, stage)
+        np.add(pair, stage, stage)
+        self._rhs(stage, k)
+        np.multiply(k, 2.0, stage)
+        np.add(acc, stage, acc)
+        np.multiply(k, dt, stage)
+        np.add(pair, stage, stage)
+        self._rhs(stage, k)
+        # numpy multiplies complex by 1.0 as by 1 + 0j, which turns -0 - 1j
+        # into +0 - 1j: 1.0 k4 is not k4 bit for bit
+        np.multiply(k, 1.0, k)
+        np.add(acc, k, acc)
+        np.multiply(acc, dt / 6.0, acc)
+        np.add(pair, acc, pair)
         return pair
 
     def step_coupled(self, even: np.ndarray, odd: np.ndarray, dt: float):

@@ -252,6 +252,98 @@ def test_in_place_derivative_matches_central4_bit_for_bit(x_min, x_max):
     assert folded == 2  # psi at its left edge, psi' at its inflow edge
 
 
+def _signed_zero_pair(rng, n):
+    """Random complex (2, N) data with +0, -0 and -0 - 0j entries in both
+    rows.  The first 8 samples of each row are imaginary and positive, the
+    last 8 real and negative, each with a random signed zero in its other
+    part: a closure row there sums six -0 terms in one part with
+    probability 1/64."""
+    zeros = np.array([0.0, -0.0])
+    real = rng.standard_normal((2, n))
+    imag = rng.standard_normal((2, n))
+    for part in (real, imag):
+        zero = rng.random((2, n)) < 0.2
+        part[zero] = rng.choice(zeros, np.count_nonzero(zero))
+    real[:, :8] = rng.choice(zeros, (2, 8))
+    imag[:, :8] = np.abs(rng.standard_normal((2, 8)))
+    real[:, -8:] = -np.abs(rng.standard_normal((2, 8)))
+    imag[:, -8:] = rng.choice(zeros, (2, 8))
+    pair = np.empty((2, n), dtype=complex)
+    pair.real, pair.imag = real, imag
+    return pair
+
+
+# right of u*, left of u* (c_minus > 1), and [3.7, 3.85], where
+# c_minus < 0 and psi' flows in at the right edge
+_STEPPER_WINDOWS = pytest.mark.parametrize(
+    "x_min, x_max",
+    [(4.5, 12.0), (1.5, 3.0), (3.7, 3.85)],
+    ids=["right-sponge", "left-sponge", "right-inflow"],
+)
+
+
+def _allocating_slope(stepper, pair):
+    """-c d(pair)/dx with numpy temporaries: the central stencil row by
+    row and the closure rows (stepper's tables) summed term by term."""
+    out = np.empty(pair.shape, dtype=complex)
+    out[:, 2:-2] = ((8.0 * pair[:, 3:-1] - pair[:, 4:]) - 8.0 * pair[:, 1:-3]) + pair[:, :-4]
+    terms = pair.ravel().take(stepper._edge_sources) * stepper._edge_weights
+    edges = terms[0]
+    for term in terms[1:]:
+        edges = edges + term
+    out.put(stepper._edge_targets, edges)
+    gen = stepper.generator
+    speeds = np.stack((gen.c_plus, gen.c_minus))
+    return -speeds * (out * (1.0 / (12.0 * stepper.dx)))
+
+
+@_STEPPER_WINDOWS
+def test_in_place_slope_keeps_signed_zeros(x_min, x_max):
+    # the rows meet in one flat sweep and the closure sums start from -0,
+    # so that every entry, signed zeros too, has the allocating route's bits
+    window = GridWindow(x_min=x_min, x_max=x_max, n=64, a=A1)
+    stepper = _stepper(window, SolverConfig())
+    rng = np.random.default_rng(17)
+    out = np.empty((2, window.n), dtype=complex)
+    # 32 draws of 16 edge rows each: some rows sum six -0 terms
+    for _ in range(32):
+        pair = _signed_zero_pair(rng, window.n)
+        want = _allocating_slope(stepper, pair).tobytes()
+        assert stepper._rhs(pair, out).tobytes() == want
+        assert stepper._rhs(np.asfortranarray(pair), out).tobytes() == want
+
+
+def _textbook_rk4(stepper, u, h):
+    """One allocating RK4 step built from the stepper's own slope."""
+
+    def rhs(v):
+        return stepper._rhs(v, np.empty(v.shape, dtype=complex))
+
+    k1 = rhs(u)
+    k2 = rhs(u + (h / 2) * k1)
+    k3 = rhs(u + (h / 2) * k2)
+    k4 = rhs(u + h * k3)
+    # numpy multiplies complex by 1.0 as by 1 + 0j, which turns -0 - 1j into
+    # +0 - 1j, so 1.0 * k4 is not k4 bit for bit: the step keeps the product
+    return u + (h / 6) * (((k1 + 2.0 * k2) + 2.0 * k3) + 1.0 * k4)
+
+
+@_STEPPER_WINDOWS
+def test_step_eigen_matches_textbook_rk4_bit_for_bit(x_min, x_max):
+    window = GridWindow(x_min=x_min, x_max=x_max, n=128, a=A1)
+    stepper = _stepper(window, SolverConfig())
+    dt = cfl_dt(window, stepper.generator, 0.5)
+    pair = _signed_zero_pair(np.random.default_rng(13), window.n)
+    fortran = np.asfortranarray(pair)
+    # three full steps, then a shortened final one
+    for h in (dt, dt, dt, 0.37 * dt):
+        want = _textbook_rk4(stepper, pair.copy(), h)
+        assert stepper.step_eigen(pair, h) is pair
+        assert stepper.step_eigen(fortran, h) is fortran
+        assert pair.tobytes() == want.tobytes()
+        assert fortran.tobytes() == want.tobytes()
+
+
 def _closure_matrix(n):
     """The SBP(4,2) derivative as a dense matrix on a unit-spaced grid."""
     return _derivative_central4(np.eye(n), 1.0)
