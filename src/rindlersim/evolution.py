@@ -336,8 +336,9 @@ class TransportStepper:
 
     def _rhs(self, pair: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = -c d(pair)/dx, row by row, without allocating; out must be
-        C-contiguous, since it is written through a flat view.  A pair in
-        another layout is only read, through a C-ordered copy.
+        C-contiguous, since it is written through a flat view (ValueError
+        otherwise).  A pair in another layout is only read, through a
+        C-ordered copy.
 
         The interior stencil runs once over both rows as one flat (2N,)
         sweep.  Its entries at flat indices N-2 .. N+1 read across the
@@ -347,8 +348,11 @@ class TransportStepper:
         _derivative_central4 uses, so that the two routes give the same
         floats away from a folded SAT weight (and from signed zeros, which
         its division by 12 dx may flip)."""
+        if not out.flags.c_contiguous:
+            raise ValueError("_rhs writes through a flat view: out must be C-contiguous")
         values = pair.reshape(-1)
-        flat = out.reshape(-1, copy=False)
+        # a view, since out is C-contiguous
+        flat = out.reshape(-1)
         inner = flat[2:-2]
         eight = self._eight
         # 8 v[j+1] - v[j+2] - 8 v[j-1] + v[j-2]

@@ -313,6 +313,16 @@ def test_in_place_slope_keeps_signed_zeros(x_min, x_max):
         assert stepper._rhs(np.asfortranarray(pair), out).tobytes() == want
 
 
+def test_in_place_slope_refuses_an_out_it_cannot_flatten():
+    # a flat view of a Fortran-ordered out would be a copy, and the slope
+    # written to it would be lost
+    window = GridWindow(x_min=4.5, x_max=12.0, n=64, a=A1)
+    stepper = _stepper(window, SolverConfig())
+    pair = np.ones((2, window.n), dtype=complex)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        stepper._rhs(pair, np.empty((2, window.n), dtype=complex, order="F"))
+
+
 def _textbook_rk4(stepper, u, h):
     """One allocating RK4 step built from the stepper's own slope."""
 
