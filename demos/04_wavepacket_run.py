@@ -14,15 +14,8 @@ Writes snapshots and the observable report under wavepacket_out/.
 
 import os
 
-from rindlersim import (
-    characteristics_rindler,
-    cmd_evolve,
-    compare,
-    exact_inertial,
-    extract_inertial,
-    extract_rindler,
-    load_config,
-)
+from rindlersim import cmd_evolve, extract_inertial, extract_rindler, load_config
+from rindlersim.oracle import characteristics_rindler, compare, exact_inertial
 
 here = os.path.dirname(os.path.abspath(__file__))
 out_dir = os.path.join(here, "wavepacket_out")

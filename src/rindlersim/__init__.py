@@ -16,7 +16,8 @@ The package is organized around six pieces:
   window that is checked when it is built, with RK4 time stepping and
   SBP-SAT boundaries.
 - oracle: exact advection and method-of-characteristics references used
-  to verify the solver.
+  to verify the solver; imported on its own (rindlersim.oracle), so the
+  package and the command line do not load it.
 - runner/cli: strict JSON configuration, CSV/JSON serialization and the
   command-line surface (coeffs, singularity, evolve, limits).
 """
@@ -74,7 +75,6 @@ from .hamiltonian import (
     galileo_coefficients,
     ultra_coefficients,
 )
-from .oracle import characteristics_rindler, compare, exact_inertial
 from .runner import SimulationConfig, cmd_coeffs, cmd_evolve, cmd_limits, cmd_singularity, load_config
 
 __version__ = "0.1.0"

@@ -55,7 +55,7 @@ from .embedding import (
 # wraps these names on this module, so they must stay importable from it.
 from .embedding import correlation, expectation_inertial, expectation_rindler  # noqa: F401
 from .errors import ConfigError, InstabilityError
-from .hamiltonian import GALILEO_V_MAX, GALILEO_V_WARN, coefficient_arrays, find_singularity
+from .hamiltonian import check_galileo_velocity, coefficient_arrays, find_singularity
 
 __all__ = [
     "NORM_GROWTH_TOL",
@@ -199,24 +199,13 @@ def build_generator(
 ) -> Generator:
     """Sample the coefficients of a mode of hamiltonian.coefficient_arrays
     over a window, which lies on one side of the singular band since it
-    was checked when it was built.  In 'galileo' mode the window must keep
-    |v| <= GALILEO_V_MAX (warning beyond GALILEO_V_WARN).  There every
-    mode keeps |f| below 4."""
+    was checked when it was built.  In 'galileo' mode the largest v on the
+    window must pass hamiltonian.check_galileo_velocity.  There every mode
+    keeps |f| below 4."""
     x = window.points()
     f, g, _ = coefficient_arrays(window.a.a * x, mode, delta)
     if mode == "galileo":
-        v_max = 2.0 * np.max(np.abs(g))  # this mode's g is -v/2
-        if v_max > GALILEO_V_MAX:
-            raise ConfigError(
-                f"small-velocity mode needs |v| <= {GALILEO_V_MAX} everywhere; window "
-                f"reaches v = {v_max:.4g}"
-            )
-        if v_max > GALILEO_V_WARN:
-            warnings.warn(
-                f"small-velocity approximation is marginal beyond |v| = {GALILEO_V_WARN}",
-                stacklevel=2,
-            )
-
+        check_galileo_velocity(2.0 * np.max(np.abs(g)))  # this mode's g is -v/2
     return Generator(window, mode, delta, x, f, g, c_plus=f + g, c_minus=f - g)
 
 
@@ -254,7 +243,9 @@ def _derivative_central4(v: np.ndarray, dx: float) -> np.ndarray:
         for column, weight in enumerate(weights[1:], start=1):
             d[row] += weight * v[column]
             d[-1 - row] += -weight * v[-1 - column]
-    return d / (12.0 * dx)
+    # a product with the reciprocal, as _rhs scales: numpy's complex
+    # division by a real forms a + b*0 and flips signed zeros
+    return d * (1.0 / (12.0 * dx))
 
 
 def _edge_rows(n: int, inflow: np.ndarray):
@@ -307,9 +298,6 @@ class TransportStepper:
         self.dx = generator.window.dx
         n = generator.window.n
         speeds = np.stack((generator.c_plus, generator.c_minus))
-        # numpy divides complex by real as a product with the reciprocal, so
-        # this multiplier gives the values of _derivative_central4's division,
-        # signed zeros aside
         self._inverse_spacing = 1.0 / (12.0 * self.dx)
         # complex, so that products with the complex state need no cast buffer
         self._minus_speeds = (-speeds).astype(complex).reshape(-1)
@@ -345,9 +333,9 @@ class TransportStepper:
         seam between the rows; they are closure rows, which the closure
         put overwrites, as it does the other twelve, so no value read
         across the seam is kept.  Terms are combined in the order
-        _derivative_central4 uses, so that the two routes give the same
-        floats away from a folded SAT weight (and from signed zeros, which
-        its division by 12 dx may flip)."""
+        _derivative_central4 uses, and scaled as it scales, so that the two
+        routes give the same floats, signed zeros included, away from a
+        folded SAT weight."""
         if not out.flags.c_contiguous:
             raise ValueError("_rhs writes through a flat view: out must be C-contiguous")
         values = pair.reshape(-1)
@@ -376,26 +364,16 @@ class TransportStepper:
         pair is overwritten and returned.  The result is
         pair + dt/6 (((k1 + 2 k2) + 2 k3) + 1.0 k4), term by term."""
         k, stage, acc = self._k, self._stage, self._acc
-        half = 0.5 * dt
-        self._rhs(pair, acc)
-        np.multiply(acc, half, stage)
-        np.add(pair, stage, stage)
-        self._rhs(stage, k)
-        # the stage input is spent: reuse it for 2 k
-        np.multiply(k, 2.0, stage)
-        np.add(acc, stage, acc)
-        np.multiply(k, half, stage)
-        np.add(pair, stage, stage)
-        self._rhs(stage, k)
-        np.multiply(k, 2.0, stage)
-        np.add(acc, stage, acc)
-        np.multiply(k, dt, stage)
-        np.add(pair, stage, stage)
-        self._rhs(stage, k)
+        slope = self._rhs(pair, acc)
         # numpy multiplies complex by 1.0 as by 1 + 0j, which turns -0 - 1j
-        # into +0 - 1j: 1.0 k4 is not k4 bit for bit
-        np.multiply(k, 1.0, k)
-        np.add(acc, k, acc)
+        # into +0 - 1j: the last weight's 1.0 k4 is not k4 bit for bit
+        for h, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
+            np.multiply(slope, h, stage)
+            np.add(pair, stage, stage)
+            slope = self._rhs(stage, k)
+            # the stage input is spent: reuse it for the weighted slope
+            np.multiply(k, weight, stage)
+            np.add(acc, stage, acc)
         np.multiply(acc, dt / 6.0, acc)
         np.add(pair, acc, pair)
         return pair

@@ -29,7 +29,9 @@ a derivation oracle for them (g's denominator is easy to get wrong by
 hand; the matrix route and the sum rule pin it down).
 
 Small-velocity and near-light-speed approximations of (f, g) are
-provided as `galileo_coefficients` and `ultra_coefficients`.
+provided as `galileo_coefficients` and `ultra_coefficients`;
+`check_galileo_velocity` is the one range rule of the first, which the
+solver's galileo mode applies too.
 `coefficient_arrays` is the one definition of the coefficient modes
 that the solver, the oracle and the coefficient scan sample.
 """
@@ -59,6 +61,7 @@ __all__ = [
     "coefficient_arrays",
     "coefficients_via_inversion",
     "find_singularity",
+    "check_galileo_velocity",
     "galileo_coefficients",
     "ultra_f_delta",
     "ultra_f_delta_coarse",
@@ -286,23 +289,31 @@ def find_singularity(a: Acceleration) -> SingularPoint:
     return SingularPoint(u_star=u_star, x_star=u_star / a.a, v_star=v_star)
 
 
+def check_galileo_velocity(v: float):
+    """The range of the small-velocity limit: ConfigError for a speed v
+    above GALILEO_V_MAX, a warning above GALILEO_V_WARN that points at the
+    caller's caller."""
+    if v > GALILEO_V_MAX:
+        raise ConfigError(f"small-velocity limit needs |v| <= {GALILEO_V_MAX}, got v = {v:.4g}")
+    if v > GALILEO_V_WARN:
+        warnings.warn(
+            f"small-velocity approximation is marginal at v = {v:.4g} > {GALILEO_V_WARN}",
+            stacklevel=3,
+        )
+
+
 def galileo_coefficients(v: float) -> CoefficientPoint:
     """Small-velocity limit f = 1 + v/2, g = -v/2 at u = 1/sqrt(1 - v^2).
 
     Valid for 0 <= v << 1: u(v) = u(-v), and the exact coefficients at
-    u belong to v = s/u >= 0.  Enforced for 0 <= v <= GALILEO_V_MAX,
-    with a warning beyond GALILEO_V_WARN.  The denominator concept does
-    not apply in this regime, so the returned point carries NaN there.
+    u belong to v = s/u >= 0, so a negative v is a CoordinateDomainError.
+    Past that, check_galileo_velocity holds v to its range.  The
+    denominator concept does not apply in this regime, so the returned
+    point carries NaN there.
     """
-    if not (0.0 <= v <= GALILEO_V_MAX):
-        raise CoordinateDomainError(
-            f"small-velocity coefficients need 0 <= v <= {GALILEO_V_MAX}, got {v}"
-        )
-    if v > GALILEO_V_WARN:
-        warnings.warn(
-            f"small-velocity approximation is marginal at v = {v} > {GALILEO_V_WARN}",
-            stacklevel=2,
-        )
+    if not (v >= 0.0):
+        raise CoordinateDomainError(f"small-velocity coefficients need v >= 0, got {v}")
+    check_galileo_velocity(v)
     u = 1.0 / math.sqrt((1.0 - v) * (1.0 + v))
     return CoefficientPoint(u=u, f=1.0 + v / 2.0, g=-v / 2.0, denominator=math.nan)
 

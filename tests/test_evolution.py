@@ -230,26 +230,31 @@ def test_in_place_derivative_matches_central4_bit_for_bit(x_min, x_max):
     # the SAT penalty into an edge weight.  There the reference adds the
     # penalty explicitly, and the two differ by rounding: at most 5e-16 of
     # |reference| + |penalty| over 1800 random draws, bounded here by 1e-15
+    # Both scale by the product with 1/(12 dx), so signed zeros match too:
+    # 32 signed-zero draws follow the normal one, and their edge samples
+    # are nonzero, so the same two entries are folded
     window = GridWindow(x_min=x_min, x_max=x_max, n=256, a=A1)
     stepper = _stepper(window, SolverConfig())
     rng = np.random.default_rng(7)
-    pair = rng.standard_normal((2, window.n)) + 1j * rng.standard_normal((2, window.n))
-    out = stepper._rhs(pair, np.empty_like(pair))
+    normal = rng.standard_normal((2, window.n)) + 1j * rng.standard_normal((2, window.n))
+    signed_zeros = (_signed_zero_pair(rng, window.n) for _ in range(32))
     gen = stepper.generator
-    folded = 0
-    for row, speeds, values in zip(out, (gen.c_plus, gen.c_minus), pair):
-        reference = -speeds * _derivative_central4(values, window.dx)
-        sat = np.zeros_like(reference)
-        for edge, inward in ((0, speeds[0] > 0.0), (-1, speeds[-1] < 0.0)):
-            if inward:
-                sat[edge] = -abs(speeds[edge]) / (17.0 / 48.0 * window.dx) * values[edge]
-        exact = sat == 0.0
-        folded += np.count_nonzero(~exact)
-        assert row[exact].tobytes() == reference[exact].tobytes()
-        scale = np.abs(reference[~exact]) + np.abs(sat[~exact])
-        want = reference[~exact] + sat[~exact]
-        assert np.all(np.abs(row[~exact] - want) <= 1e-15 * scale)
-    assert folded == 2  # psi at its left edge, psi' at its inflow edge
+    for pair in (normal, *signed_zeros):
+        out = stepper._rhs(pair, np.empty_like(pair))
+        folded = 0
+        for row, speeds, values in zip(out, (gen.c_plus, gen.c_minus), pair):
+            reference = -speeds * _derivative_central4(values, window.dx)
+            sat = np.zeros_like(reference)
+            for edge, inward in ((0, speeds[0] > 0.0), (-1, speeds[-1] < 0.0)):
+                if inward:
+                    sat[edge] = -abs(speeds[edge]) / (17.0 / 48.0 * window.dx) * values[edge]
+            exact = sat == 0.0
+            folded += np.count_nonzero(~exact)
+            assert row[exact].tobytes() == reference[exact].tobytes()
+            scale = np.abs(reference[~exact]) + np.abs(sat[~exact])
+            want = reference[~exact] + sat[~exact]
+            assert np.all(np.abs(row[~exact] - want) <= 1e-15 * scale)
+        assert folded == 2  # psi at its left edge, psi' at its inflow edge
 
 
 def _signed_zero_pair(rng, n):

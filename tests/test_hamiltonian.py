@@ -6,7 +6,7 @@ import pytest
 
 from rindlersim.cli import main
 from rindlersim.coords import Acceleration
-from rindlersim.errors import CoordinateDomainError, SingularityError
+from rindlersim.errors import ConfigError, CoordinateDomainError, SingularityError
 from rindlersim.hamiltonian import (
     COEFFICIENT_CAP,
     ULTRA_SINGULAR_MARGIN,
@@ -305,11 +305,18 @@ def test_galileo_warning_and_domain(tmp_path):
     with pytest.warns(UserWarning):
         galileo_coefficients(0.15)
     # u(v) = u(-v), and the exact coefficients there belong to v >= 0
-    for v in (0.25, -0.05):
-        with pytest.raises(CoordinateDomainError):
-            galileo_coefficients(v)
+    with pytest.raises(CoordinateDomainError):
+        galileo_coefficients(-0.05)
     out = str(tmp_path / "l.csv")
     assert main(["limits", "--regime", "galileo", "--values", "-0.05", "--out", out]) == 2
+
+
+def test_galileo_speed_above_the_limit_is_a_config_error(tmp_path):
+    # the range rule build_generator applies to a galileo window
+    with pytest.raises(ConfigError, match="small-velocity limit"):
+        galileo_coefficients(0.25)
+    out = str(tmp_path / "l.csv")
+    assert main(["limits", "--regime", "galileo", "--values", "0.25", "--out", out]) == 2
 
 
 def test_galileo_limit_bound():

@@ -583,11 +583,13 @@ def test_gauss_legendre_table_and_antiderivative():
 
 
 def test_the_cli_loads_no_quadrature_library():
-    # the Gauss-Legendre table is hard-coded, so the oracle that the
-    # package imports adds neither numpy.polynomial nor scipy to a CLI process
+    # the package does not import the oracle, and the oracle's
+    # Gauss-Legendre table is hard-coded, so neither a CLI process nor the
+    # oracle loads numpy.polynomial or scipy
     code = (
         "import sys, rindlersim.cli\n"
-        "assert 'rindlersim.oracle' in sys.modules\n"
+        "assert 'rindlersim.oracle' not in sys.modules\n"
+        "import rindlersim.oracle\n"
         "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')]\n"
         "assert not loaded, loaded\n"
     )
