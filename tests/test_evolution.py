@@ -328,23 +328,33 @@ def test_in_place_slope_refuses_an_out_it_cannot_flatten():
         stepper._rhs(pair, np.empty((2, window.n), dtype=complex, order="F"))
 
 
+def _slope(stepper):
+    """The stepper's own slope, into a new array."""
+    return lambda v: stepper._rhs(v, np.empty(v.shape, dtype=complex))
+
+
 def _textbook_rk4(stepper, u, h):
-    """One allocating RK4 step built from the stepper's own slope."""
-
-    def rhs(v):
-        return stepper._rhs(v, np.empty(v.shape, dtype=complex))
-
+    """One allocating RK4 step with the textbook stage weights."""
+    rhs = _slope(stepper)
     k1 = rhs(u)
     k2 = rhs(u + (h / 2) * k1)
     k3 = rhs(u + (h / 2) * k2)
     k4 = rhs(u + h * k3)
-    # numpy multiplies complex by 1.0 as by 1 + 0j, which turns -0 - 1j into
-    # +0 - 1j, so 1.0 * k4 is not k4 bit for bit: the step keeps the product
-    return u + (h / 6) * (((k1 + 2.0 * k2) + 2.0 * k3) + 1.0 * k4)
+    return u + (h / 6) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _horner_rk4(stepper, u, h):
+    """One allocating RK4 step in Horner form,
+    u + h L(u + h/2 L(u + h/3 L(u + h/4 L u))), from the stepper's slope."""
+    rhs = _slope(stepper)
+    k = rhs(u)
+    for c in (h / 4.0, h / 3.0, h / 2.0):
+        k = rhs(u + k * c)
+    return u + k * h
 
 
 @_STEPPER_WINDOWS
-def test_step_eigen_matches_textbook_rk4_bit_for_bit(x_min, x_max):
+def test_step_eigen_matches_horner_rk4_bit_for_bit(x_min, x_max):
     window = GridWindow(x_min=x_min, x_max=x_max, n=128, a=A1)
     stepper = _stepper(window, SolverConfig())
     dt = cfl_dt(window, stepper.generator, 0.5)
@@ -352,11 +362,15 @@ def test_step_eigen_matches_textbook_rk4_bit_for_bit(x_min, x_max):
     fortran = np.asfortranarray(pair)
     # three full steps, then a shortened final one
     for h in (dt, dt, dt, 0.37 * dt):
-        want = _textbook_rk4(stepper, pair.copy(), h)
+        want = _horner_rk4(stepper, pair.copy(), h)
+        textbook = _textbook_rk4(stepper, pair.copy(), h)
+        scale = np.max(np.abs(pair))
         assert stepper.step_eigen(pair, h) is pair
         assert stepper.step_eigen(fortran, h) is fortran
         assert pair.tobytes() == want.tobytes()
         assert fortran.tobytes() == want.tobytes()
+        # the same scheme as the textbook stages, up to rounding
+        assert np.max(np.abs(pair - textbook)) <= 1e-14 * scale
 
 
 def _closure_matrix(n):
@@ -434,8 +448,33 @@ def test_run_past_packet_exit_decays(x_min, x_max, t_final):
     assert np.all(norms[-1] <= norms[len(norms) // 2])
 
 
-@pytest.mark.parametrize("scheme", ["central4"], ids=["central4-sponge"])
-def test_step_eigen_allocates_no_grid_sized_array(scheme):
+@pytest.mark.parametrize(
+    "x_min, x_max, packet, t_final",
+    [
+        (4.5, 12.0, WavepacketSpec(7.5, 0.3), 1.0),
+        (1.5, 3.0, WavepacketSpec(2.2, 0.06), 0.3),
+        (3.75, 6.0, WavepacketSpec(4.8, 0.09), 0.5),
+    ],
+    ids=["right", "left", "mid"],
+)
+def test_step_is_fourth_order_in_time(x_min, x_max, packet, t_final):
+    # at fixed dx the difference from a cfl 0.05 run falls 16x per halving
+    # of cfl (measured 15.9-16.1); with dt/5 in place of the Horner dt/4 the
+    # step is of third order and it falls 8.0-8.1x.  The packets stay clear
+    # of the edges, so that only the step's error shows
+    generator = build_generator(GridWindow(x_min, x_max, 256, A1))
+
+    def final_state(cfl):
+        solver = SolverConfig(cfl=cfl, t_final=t_final, snapshot_stride=10**9)
+        state = evolve(packet, generator, solver).snapshots[-1]
+        return np.stack((state.even, state.odd))
+
+    reference = final_state(0.05)
+    errors = [np.max(np.abs(final_state(cfl) - reference)) for cfl in (0.8, 0.4, 0.2)]
+    assert errors[0] / errors[1] >= 14.0 and errors[1] / errors[2] >= 14.0
+
+
+def test_step_eigen_allocates_no_grid_sized_array():
     window = GridWindow(x_min=4.5, x_max=12.0, n=4096, a=A1)
     stepper = _stepper(window, SolverConfig())
     values = PACKET.evaluate(window.grid().points())
@@ -463,6 +502,42 @@ def test_evolve_report_structure_and_t0():
     assert row0.x_rindler == pytest.approx(PACKET.x0, abs=1e-6)
     assert row0.norm_odd == 0.0
     assert row0.norm_even == pytest.approx(row0.norm_inertial, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, t_final, stride, steps",
+    [
+        # 2.5 / dt is 42 + 8e-14: a time summed step by step ends short of 2.5
+        (64, lambda dt: 2.5, 1, 42),
+        # t_final / dt exceeds 9022 by 7e-12, past an absolute 1e-12 guard,
+        # which takes a 9023rd step of size 0
+        (512, lambda dt: _ulps_above(9022 * dt, 4), 9022, 9022),
+    ],
+    ids=["short-of-t-final", "zero-last-step"],
+)
+def test_evolve_ends_exactly_on_t_final(monkeypatch, n, t_final, stride, steps):
+    window = GridWindow(x_min=4.5, x_max=12.0, n=n, a=A1)
+    generator = build_generator(window)
+    t_final = t_final(cfl_dt(window, generator, 0.5))
+    sizes = []
+    step = TransportStepper.step_eigen
+
+    def recording_step(self, pair, dt):
+        sizes.append(dt)
+        return step(self, pair, dt)
+
+    monkeypatch.setattr(TransportStepper, "step_eigen", recording_step)
+    solver = SolverConfig(t_final=t_final, snapshot_stride=stride)
+    times = evolve(PACKET, generator, solver).times
+    assert times[-1] == t_final
+    assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
+    assert len(sizes) == steps and min(sizes) > 0.0
+
+
+def _ulps_above(value, count):
+    for _ in range(count):
+        value = math.nextafter(value, math.inf)
+    return value
 
 
 def test_evolve_snapshots_are_copies_of_the_stepped_state():
