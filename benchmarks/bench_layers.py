@@ -1,8 +1,9 @@
 """Layer benches on pytest-benchmark: importing the CLI, config
 loading, coefficient sampling, both routes of the characteristics
 oracle, the stepper's construction, the RK4 step at N = 512, 2048 and
-16384, one whole evolve of the longest long_horizon run, one snapshot's
-report row, one snapshot CSV at N = 2048 and at N = 16384, and the
+16384 (in one process), one whole evolve of the longest long_horizon run
+and of the fine_grid geometry (psi' stepped by a forked partner where
+evolve splits), one snapshot's report row, one snapshot CSV at N = 2048 and at N = 16384, and the
 report.json of a demos/04 run, each timed on its own.
 
 Run from the repository root:
@@ -176,3 +177,15 @@ def test_evolve_long_horizon(benchmark):
     solver = SolverConfig(t_final=2.5, snapshot_stride=106)
     result = benchmark.pedantic(evolve, (packet, generator, solver), rounds=5)
     assert len(result.times) == 2657 // 106 + 2
+
+
+def test_evolve_fine_grid(benchmark):
+    # perfbench's fine_grid geometry: [4.5, 12] at N = 16384 to t = 0.0625,
+    # 274 steps and two snapshots; evolve steps psi' in a forked partner
+    # where its split rule admits the run (two CPUs or more)
+    window = GridWindow(4.5, 12.0, 16384, A1)
+    generator = build_generator(window)
+    packet = WavepacketSpec(x0=7.5, sigma=0.15, k0=0.0)
+    solver = SolverConfig(t_final=0.0625, snapshot_stride=1_000_000)
+    result = benchmark.pedantic(evolve, (packet, generator, solver), rounds=10)
+    assert len(result.times) == 2

@@ -13,6 +13,19 @@ a new array that later steps leave alone.  A coupled two-component
 stepper, with plain allocating RK4, is kept alongside as a
 consistency hook.
 
+The two rows share no data between snapshots.  So on a large run (at
+least PARTNER_MIN_POINTS samples and PARTNER_MIN_POINT_STEPS
+point-steps), where os.fork exists, the process has one thread and at
+least two CPUs, evolve holds the pair in an anonymous shared mapping
+and forks one partner process right after the t = 0 snapshot: the
+caller steps psi and the partner psi', each with a stepper built for
+its own row on the same kernel, with the same step sizes.  They meet
+once a snapshot, over two pipes: the caller takes it only once the
+partner has reached that step, and the partner waits until it is
+taken.  The partner ends with os._exit, and also once its parent is
+gone, after one step at most; the caller reaps it on every path.  Every
+float of the outputs is the one the in-process run gives.
+
 evolve(packet, generator, solver) runs on a generator from
 build_generator and never rebuilds it.  The generator is applied in
 non-symmetrized form, coefficient times derivative; it is not Hermitian
@@ -34,7 +47,13 @@ absorbing layer.
 """
 
 import cmath
+import functools
 import math
+import mmap
+import os
+import signal
+import sys
+import threading
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -81,6 +100,17 @@ NORM_GROWTH_TOL = 1e-9
 # under 10^4.  A config past it (a tiny cfl, or a window far narrower
 # than t_final times the speed) is a mistake, not a run to wait for.
 MAX_STEPS = 10**7
+# evolve steps psi' in a forked partner process only on a grid of at least
+# PARTNER_MIN_POINTS samples, in a run of at least PARTNER_MIN_POINT_STEPS
+# samples times steps.  Whole evolve, split over in-process time, median
+# of 15 interleaved runs on 2 shared CPUs: 0.44-0.55 at N = 16384 and 274
+# steps, 0.59 at 8192, 0.79 at 4096, but 0.91-1.03 at 2048 and 546 steps,
+# where a step costs per numpy call more than per sample.  The fork, the
+# partner's stepper and its first page faults cost 3-5 ms: 1.01 at 16384
+# and 15 steps (246k point-steps), 0.65 at 30 steps (492k); 1.05 at 4096
+# and 100 steps (410k), 0.91 at 150 steps (614k).
+PARTNER_MIN_POINTS = 4096
+PARTNER_MIN_POINT_STEPS = 500_000
 
 
 @dataclass(frozen=True)
@@ -248,21 +278,27 @@ def _derivative_central4(v: np.ndarray, dx: float) -> np.ndarray:
     return d * (1.0 / (12.0 * dx))
 
 
+def _inflow(speeds: np.ndarray) -> np.ndarray:
+    """(component, edge): whether the speeds of each row of `speeds` point
+    into the window at its (left, right) edge."""
+    return np.stack((speeds[:, 0] > 0.0, speeds[:, -1] < 0.0), axis=1)
+
+
 def _edge_rows(n: int, inflow: np.ndarray):
-    """The closure rows as flat indices into a (2, N) pair in C order: the
-    targets (16,), the sources and the weights (term, row, edge), with the
-    SAT penalty of an inflow edge folded into the weight of its edge
-    sample."""
+    """The closure rows as flat indices into an (R, N) array in C order,
+    one row per row of inflow: the targets (8 R,), the sources and the
+    weights (term, R, edge), with the SAT penalty of an inflow edge folded
+    into the weight of its edge sample."""
     left = np.array(_SBP_CLOSURE).T  # (term, edge row)
     terms, rows = left.shape
     columns = np.arange(terms)[:, None].repeat(rows, axis=1)
     targets = np.concatenate((np.arange(rows), n - 1 - np.arange(rows)))
     sources = np.concatenate((columns, n - 1 - columns), axis=1)
     weights = np.concatenate((left, -left), axis=1)
-    weights = np.repeat(weights[:, None, :], 2, axis=1).astype(complex)
+    weights = np.repeat(weights[:, None, :], len(inflow), axis=1).astype(complex)
     weights[0, :, 0] += np.where(inflow[:, 0], _SAT_WEIGHT, 0.0)
     weights[0, :, rows] -= np.where(inflow[:, 1], _SAT_WEIGHT, 0.0)
-    row_starts = n * np.arange(2)[:, None]
+    row_starts = n * np.arange(len(inflow))[:, None]
     return (
         (row_starts + targets).ravel(),
         row_starts + sources[:, None, :],
@@ -283,32 +319,34 @@ class TransportStepper:
 
     The pair is one (2, N) complex array: row 0 is the inertial psi,
     moved at c_plus, row 1 the accelerated-frame psi', moved at c_minus.
-    step_eigen overwrites it and allocates no array of the grid's size.
-    For that the stepper holds the negated speeds as one flat (2N,)
-    array, the SBP closure rows of each component with its SAT inflow
-    penalty folded in, two (2, N) work buffers (the slope k and the
-    stage input), a flat (2N,) scratch for 8 times the stencil's input,
-    and the (6, 2, 8) closure terms with their (2, 8) sums.
+    The rows never meet, so a stepper may also be built for some of them:
+    `rows` names the rows of the pair it advances, (0, 1) by default, and
+    step_eigen then takes the (len(rows), N) array of those rows, such as
+    pair[1:] for psi' alone.  Each row gets the same floats either way.
+    step_eigen overwrites its array and allocates no array of the grid's
+    size.  For that the stepper holds the negated speeds as one flat
+    (R N,) array, the SBP closure rows of each component with its SAT
+    inflow penalty folded in, two (R, N) work buffers (the slope k and the
+    stage input), a flat (R N,) scratch for 8 times the stencil's input,
+    and the (6, R, 8) closure terms with their (R, 8) sums, for R rows.
     """
 
-    def __init__(self, generator: Generator, solver: SolverConfig):
+    def __init__(self, generator: Generator, solver: SolverConfig, rows=(0, 1)):
         self.generator = generator
         self.solver = solver
         self.dx = generator.window.dx
         n = generator.window.n
-        speeds = np.stack((generator.c_plus, generator.c_minus))
+        speeds = np.stack((generator.c_plus, generator.c_minus))[list(rows)]
         self._inverse_spacing = 1.0 / (12.0 * self.dx)
         # complex, so that products with the complex state need no cast buffer
         self._minus_speeds = (-speeds).astype(complex).reshape(-1)
-        # (component, edge): the speed points into the window at (left, right)
-        self._inflow = np.stack((speeds[:, 0] > 0.0, speeds[:, -1] < 0.0), axis=1)
         self._edge_targets, self._edge_sources, self._edge_weights = _edge_rows(
-            n, self._inflow
+            n, _inflow(speeds)
         )
         self._terms = np.empty(self._edge_weights.shape, dtype=complex)
         self._edges = np.empty(self._edge_weights.shape[1:], dtype=complex)
-        self._k, self._stage = (np.empty((2, n), dtype=complex) for _ in range(2))
-        self._eight = np.empty(2 * n, dtype=complex)
+        self._k, self._stage = (np.empty(speeds.shape, dtype=complex) for _ in range(2))
+        self._eight = np.empty(speeds.size, dtype=complex)
         self._norm_weights = np.ones(n)
         self._norm_weights[:4] = self._norm_weights[:-5:-1] = _SBP_NORM
 
@@ -325,8 +363,8 @@ class TransportStepper:
         otherwise).  A pair in another layout is only read, through a
         C-ordered copy.
 
-        The interior stencil runs once over both rows as one flat (2N,)
-        sweep.  Its entries at flat indices N-2 .. N+1 read across the
+        The interior stencil runs once over all rows as one flat sweep.
+        On a pair its entries at flat indices N-2 .. N+1 read across the
         seam between the rows; they are closure rows, which the closure
         put overwrites, as it does the other twelve, so no value read
         across the seam is kept.  Terms are combined in the order
@@ -357,8 +395,9 @@ class TransportStepper:
         return out
 
     def step_eigen(self, pair: np.ndarray, dt: float) -> np.ndarray:
-        """One RK4 step of size dt on the (2, N) complex pair (psi, psi');
-        pair is overwritten and returned.  The inflow data are zero and
+        """One RK4 step of size dt on the complex rows of (psi, psi') that
+        the stepper was built for, (2, N) by default; pair is overwritten
+        and returned.  The inflow data are zero and
         the speeds do not depend on time, so the slope L is linear and
         autonomous, and RK4 is exactly the Horner form
         pair + dt L(pair + dt/2 L(pair + dt/3 L(pair + dt/4 L pair)))."""
@@ -382,7 +421,7 @@ class TransportStepper:
         edges = [0, -1]
         # (component, edge) rates |c| / (h_0 dx) of the inflow penalties
         speeds = np.stack((gen.c_plus[edges], gen.c_minus[edges]))
-        rates = np.where(self._inflow, np.abs(speeds), 0.0) / (_SBP_EDGE_NORM * self.dx)
+        rates = np.where(_inflow(speeds), np.abs(speeds), 0.0) / (_SBP_EDGE_NORM * self.dx)
 
         def rhs(e, o):
             de = _derivative_central4(e, self.dx)
@@ -458,6 +497,130 @@ def _is_finite(row: ReportRow) -> bool:
     return all(cmath.isfinite(v) for v in values if v is not None)
 
 
+def _partner_pays(n: int, n_steps: int) -> bool:
+    """The size rule of the split: a partner pays on a grid of at least
+    PARTNER_MIN_POINTS samples and a run of at least
+    PARTNER_MIN_POINT_STEPS point-steps."""
+    return n >= PARTNER_MIN_POINTS and n * n_steps >= PARTNER_MIN_POINT_STEPS
+
+
+def _split(n: int, n_steps: int) -> bool:
+    """Whether evolve steps psi' in a forked partner: only where os.fork
+    exists, with at least two CPUs in the process's affinity set (the rule
+    of the snapshot writers), in a process of one thread, which is all a
+    fork keeps, and on a run big enough to pay."""
+    return (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and threading.active_count() == 1
+        and _partner_pays(n, n_steps)
+    )
+
+
+def _march(n_steps: int, dt: float, t_final: float, stride: int, step, snapshot):
+    """Take a run's steps: step(h) for each step size h, which is dt and,
+    for the last step, t_final - (n_steps - 1) dt; and snapshot(k, t)
+    after every stride-th step k and after the last, at t = k dt and at
+    t_final."""
+    for k in range(1, n_steps):
+        step(dt)
+        if k % stride == 0:
+            snapshot(k, k * dt)
+    step(t_final - (n_steps - 1) * dt)
+    snapshot(n_steps, t_final)
+
+
+def _partner(march, row, generator, solver, parent: int, reached: int, go: int):
+    """Body of the forked partner: it steps psi' (row, the (1, N) view of
+    the shared pair) with a stepper built for that row.  At each
+    snapshot it writes one byte to `reached` and waits for one byte on
+    `go` before it steps on.  It ends with os._exit, as the snapshot
+    writers do: code 0 once the caller has taken the last snapshot, 1
+    after a traceback, or at once when the caller closed `go` (EOF) or
+    its parent is no longer `parent` (the caller died)."""
+    code = 1
+    try:
+        try:
+            stepper = TransportStepper(generator, solver, rows=(1,))
+
+            def step(h):
+                if os.getppid() != parent:
+                    os._exit(1)
+                stepper.step_eigen(row, h)
+
+            def snapshot(k, t):
+                os.write(reached, b"k")
+                if not os.read(go, 1):
+                    os._exit(1)
+
+            march(step, snapshot)
+            code = 0
+        except Exception:
+            import traceback
+
+            traceback.print_exc()
+            sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
+def _march_with_partner(march, pair: np.ndarray, stepper, snapshot):
+    """march with psi (pair[0]) stepped here by stepper, built for row 0,
+    and psi' (pair[1]) by a forked partner; pair must lie in memory the
+    two processes share.  Before snapshot(k, t) the caller waits until the
+    partner has taken step k, and the partner waits until the snapshot is
+    taken.  The partner is reaped before this returns or raises, killed
+    first if the caller stops early; a partner that fails raises OSError
+    here."""
+    opened = []
+    pid = 0
+    done = False
+    try:
+        reached_r, reached_w = os.pipe()
+        opened += (reached_r, reached_w)
+        go_r, go_w = os.pipe()
+        opened += (go_r, go_w)
+        # nothing buffered before the fork may be written twice
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+        parent = os.getpid()
+        pid = os.fork()
+        if pid == 0:
+            os.close(reached_r)
+            os.close(go_w)
+            _partner(march, pair[1:], stepper.generator, stepper.solver, parent,
+                     reached_w, go_r)
+        for end in (reached_w, go_r):
+            os.close(end)
+            opened.remove(end)
+
+        def partner_snapshot(k, t):
+            if not os.read(reached_r, 1):
+                raise OSError(f"the partner process stepping psi' failed before step {k}")
+            snapshot(k, t)
+            os.write(go_w, b"g")
+
+        march(functools.partial(stepper.step_eigen, pair[:1]), partner_snapshot)
+        done = True
+    finally:
+        for end in opened:
+            os.close(end)
+        if pid:
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            status = os.waitpid(pid, 0)[1]
+    if status:
+        raise OSError(f"the partner process stepping psi' failed (wait status {status})")
+
+
+def _shared_pair(n: int) -> np.ndarray:
+    """An empty (2, N) complex array in an anonymous shared mapping, which
+    a forked process writes into the same pages as its parent."""
+    return np.ndarray((2, n), dtype=complex, buffer=mmap.mmap(-1, 2 * n * 16))
+
+
 def evolve(
     packet: WavepacketSpec, generator: Generator, solver: SolverConfig
 ) -> EvolutionResult:
@@ -471,19 +634,17 @@ def evolve(
     CFL-limited dt, and the last step ends exactly on t_final: it is
     shorter than dt, or longer by at most 1e-12 of t_final.  The
     stepper advances one (psi, psi') array in place; each snapshot is a
-    new (even, odd) state assembled from it.  Instability is found at
-    snapshots: non-finite observables raise InstabilityError, and so does
-    a snapshot where psi's TransportStepper.norm exceeds its t = 0 value
-    by more than NORM_GROWTH_TOL of it.
+    new (even, odd) state assembled from it.  On a run that _split
+    admits, the array lies in shared memory and a forked partner steps
+    psi' while this process steps psi; the two meet only at snapshots,
+    and every float is the one the in-process run gives.  Instability is
+    found at snapshots: non-finite observables raise InstabilityError, and
+    so does a snapshot where psi's TransportStepper.norm exceeds its t = 0
+    value by more than NORM_GROWTH_TOL of it.
     """
     window = generator.window
     packet.check_window(window)
-    stepper = TransportStepper(generator, solver)
     grid = window.grid()
-
-    psi0 = ScalarField(grid=grid, values=packet.evaluate(generator.x))
-    state0 = embed_initial(psi0)
-    pair = np.stack((extract_inertial(state0).values, extract_rindler(state0).values))
 
     dt = cfl_dt(window, generator, solver.cfl)
     t_final = solver.t_final
@@ -496,6 +657,14 @@ def evolve(
     # a guard relative to the step count: a t_final at most 1e-12 of itself
     # past a whole number of steps takes no extra step of (next to) zero size
     n_steps = math.ceil(steps * (1.0 - 1e-12))
+    split = n_steps > 0 and _split(window.n, n_steps)
+    stepper = TransportStepper(generator, solver, rows=(0,) if split else (0, 1))
+
+    psi0 = ScalarField(grid=grid, values=packet.evaluate(generator.x))
+    state0 = embed_initial(psi0)
+    pair = _shared_pair(window.n) if split else np.empty((2, window.n), dtype=complex)
+    pair[0] = extract_inertial(state0).values
+    pair[1] = extract_rindler(state0).values
 
     times, snapshots, report = [], [], []
     norm0 = stepper.norm(pair[0])
@@ -517,13 +686,15 @@ def evolve(
         snapshots.append(state)
         report.append(row)
 
+    def snapshot(k: int, t: float):
+        record(k, t, _assemble(grid, pair))
+
     record(0, 0.0, state0)
-    for k in range(1, n_steps):
-        stepper.step_eigen(pair, dt)
-        if k % solver.snapshot_stride == 0:
-            record(k, k * dt, _assemble(grid, pair))
     if n_steps:
-        stepper.step_eigen(pair, t_final - (n_steps - 1) * dt)
-        record(n_steps, t_final, _assemble(grid, pair))
+        march = functools.partial(_march, n_steps, dt, t_final, solver.snapshot_stride)
+        if split:
+            _march_with_partner(march, pair, stepper, snapshot)
+        else:
+            march(functools.partial(stepper.step_eigen, pair), snapshot)
 
     return EvolutionResult(times=times, snapshots=snapshots, report=report)

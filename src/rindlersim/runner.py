@@ -12,11 +12,13 @@ makes its output directory only after the run returns.
 Snapshot CSVs are formatted a block of rows at a time by the vectorised
 shortest round-trip formatter of _shortest, whose fields are exactly
 repr(float(v)), and dealt round-robin over one writer per CPU in the
-process's affinity set: the calling process writes the first share and
+process's affinity set, but at most one per _ROWS_PER_WRITER rows of
+snapshots in all: the calling process writes the first share and
 forked children the others.  Which process writes a file does not
 change its bytes.
 """
 
+import contextlib
 import json
 import math
 import os
@@ -69,6 +71,15 @@ _SNAPSHOT_NAME = re.compile(r"snapshot_([0-9]{6}|[1-9][0-9]{6,})\.csv")
 
 # the spellings of the one derivative, SBP(4,2) with SAT
 _DERIVATIVES = ("central4", "central-4th-order")
+
+# Writers are forked only while each takes 2048 snapshot rows or more in
+# all.  Writing time, one writer against two, median of 9 interleaved runs
+# on 2 shared CPUs: 13.1-21.4 against 15.9-17.4 ms for 6 snapshots of 512
+# rows (two runs), 41 against 27 ms for 12, 63-96 against 53-56 ms for 27,
+# 20.5 against 19.3 ms for 2 of 2048 rows.  In whole CLI runs of the three
+# long_horizon configs (28 snapshots of 512 rows) two writers won 28 of
+# 30 interleaved pairs.
+_ROWS_PER_WRITER = 2048
 
 
 @dataclass(frozen=True)
@@ -256,10 +267,15 @@ def _write_snapshot(path, x, state):
         write_csv_body(handle, table)
 
 
-def _writer_count(n_files: int) -> int:
+def _writer_count(n_files: int, rows: int) -> int:
+    """How many processes write n_files snapshots of `rows` rows each: one
+    per CPU in the affinity set, but no more than one per file or per
+    _ROWS_PER_WRITER rows in all, and one where os.fork or
+    os.sched_getaffinity is missing."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return max(1, min(n_files, len(os.sched_getaffinity(0))))
+    by_rows = n_files * rows // _ROWS_PER_WRITER
+    return max(1, min(n_files, by_rows, len(os.sched_getaffinity(0))))
 
 
 def _child_write(paths, x, states):
@@ -284,14 +300,14 @@ def _child_write(paths, x, states):
 
 
 def _write_snapshots(paths, x, states):
-    """Write snapshot CSVs, dealt round-robin over one writer per CPU in
-    the process's affinity set.  The caller writes the first share; each
+    """Write snapshot CSVs, dealt round-robin over the writers that
+    _writer_count allows.  The caller writes the first share; each
     other share goes to a forked child, which ends with os._exit and so
     never returns into the caller's frames.  Every child is reaped before
     this returns or raises; a child that fails raises OSError here."""
     import sys
 
-    workers = _writer_count(len(paths))
+    workers = _writer_count(len(paths), len(x))
     children = []
     if workers > 1:
         # nothing buffered before the fork may be written twice
@@ -373,10 +389,12 @@ def _report_payload(config: SimulationConfig, result: EvolutionResult) -> dict:
 
 def cmd_evolve(config: SimulationConfig, out_dir=None) -> dict:
     """Run one evolution; write per-snapshot CSVs and the report JSON
-    into an output directory made after the run returns.  Snapshot CSVs
-    there from an earlier, longer run (snapshot_NNNNNN.csv with an index
-    past this run's last) are deleted; no other file is touched, and a
-    run that fails deletes nothing.
+    into an output directory made after the run returns.  An earlier
+    run's report.json there is deleted before the first CSV is written,
+    and so are its snapshot CSVs past this run's last (snapshot_NNNNNN.csv
+    with an index of this run's count or more); so a write that fails
+    leaves no report beside the new snapshots.  No other file is touched,
+    and a run that fails before its first write deletes nothing.
 
     Returns a small manifest with the written paths and the in-memory
     result.  Reruns with an identical configuration are byte-identical.
@@ -387,6 +405,9 @@ def cmd_evolve(config: SimulationConfig, out_dir=None) -> dict:
 
     result = evolve(config.packet, config.generator, config.solver)
     os.makedirs(target, exist_ok=True)
+    report_path = os.path.join(target, "report.json")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(report_path)
     count = len(result.snapshots)
     # an earlier, longer run into target left snapshots past this run's last
     for name in os.listdir(target):
@@ -400,7 +421,6 @@ def cmd_evolve(config: SimulationConfig, out_dir=None) -> dict:
     ]
     _write_snapshots(snapshot_paths, x, result.snapshots)
 
-    report_path = os.path.join(target, "report.json")
     with open(report_path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(_report_payload(config, result), handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -328,6 +328,62 @@ def test_in_place_slope_refuses_an_out_it_cannot_flatten():
         stepper._rhs(pair, np.empty((2, window.n), dtype=complex, order="F"))
 
 
+@_STEPPER_WINDOWS
+def test_one_row_steppers_step_each_row_as_the_pair_stepper_does(x_min, x_max):
+    # the partner of a split run steps psi' alone, and its caller psi:
+    # every float, signed zeros too, must be the pair stepper's
+    window = GridWindow(x_min=x_min, x_max=x_max, n=64, a=A1)
+    generator = build_generator(window)
+    pair_stepper = TransportStepper(generator, SolverConfig())
+    row_steppers = [TransportStepper(generator, SolverConfig(), rows=(row,)) for row in (0, 1)]
+    dt = cfl_dt(window, generator, 0.5)
+    rng = np.random.default_rng(23)
+    for _ in range(8):
+        pair = _signed_zero_pair(rng, window.n)
+        rows = pair.copy()
+        for h in (dt, dt, 0.3 * dt):
+            pair_stepper.step_eigen(pair, h)
+            for row, stepper in enumerate(row_steppers):
+                assert stepper.step_eigen(rows[row:row + 1], h).base is rows
+        assert rows.tobytes() == pair.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n, n_steps, split",
+    [
+        (16384, 274, True),  # fine_grid
+        (16384, 4369, True),  # demos/04 at N = 16384
+        (4096, 150, True),
+        (2048, 546, False),  # demo04
+        (2048, 35, False),  # snapshots
+        (512, 6203, False),  # long_horizon
+        (16384, 30, False),
+        (4096, 100, False),
+    ],
+)
+def test_partner_size_rule(n, n_steps, split):
+    assert evolution._partner_pays(n, n_steps) is split
+
+
+@pytest.mark.skipif(not hasattr(evolution.os, "sched_getaffinity"), reason="Linux affinity")
+def test_no_partner_with_one_cpu_or_a_second_thread(monkeypatch):
+    import threading
+
+    monkeypatch.setattr(evolution.os, "sched_getaffinity", lambda pid: {0, 1})
+    assert evolution._split(16384, 274)
+    monkeypatch.setattr(evolution.os, "sched_getaffinity", lambda pid: {0})
+    assert not evolution._split(16384, 274)
+    monkeypatch.setattr(evolution.os, "sched_getaffinity", lambda pid: {0, 1})
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert not evolution._split(16384, 274)
+    finally:
+        release.set()
+        thread.join()
+
+
 def _slope(stepper):
     """The stepper's own slope, into a new array."""
     return lambda v: stepper._rhs(v, np.empty(v.shape, dtype=complex))

@@ -409,8 +409,16 @@ def test_evolve_snapshots_match_repr_reference(tmp_path):
             assert handle.read() == reference_snapshot(x, state)
 
 
+@pytest.fixture
+def writer_per_row(monkeypatch):
+    """Forked writers for snapshots of a few rows: one may take each row."""
+    import rindlersim.runner as runner_module
+
+    monkeypatch.setattr(runner_module, "_ROWS_PER_WRITER", 1)
+
+
 @needs_fork
-def test_writer_count_does_not_change_bytes(tmp_path, monkeypatch):
+def test_writer_count_does_not_change_bytes(tmp_path, monkeypatch, writer_per_row):
     x, state = awkward_state()
     states = [state] + [
         EnlargedSpinorField(grid=state.grid, even=state.even * k, odd=state.odd / k)
@@ -419,7 +427,7 @@ def test_writer_count_does_not_change_bytes(tmp_path, monkeypatch):
     outputs = {}
     for cpus in ({0}, {0, 1, 2}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-        assert _writer_count(len(states)) == len(cpus)
+        assert _writer_count(len(states), len(x)) == len(cpus)
         out = tmp_path / f"cpus{len(cpus)}"
         out.mkdir()
         paths = [out / f"snapshot_{i:06d}.csv" for i in range(len(states))]
@@ -435,7 +443,7 @@ def test_writer_without_fork_stays_in_process(tmp_path, monkeypatch):
 
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "fork", no_fork, raising=False)
-    assert _writer_count(4) == 1
+    assert _writer_count(4, 10**6) == 1
     x, state = awkward_state()
     paths = [tmp_path / f"s{i}.csv" for i in range(4)]
     _write_snapshots(paths, x, [state] * 4)
@@ -443,7 +451,26 @@ def test_writer_without_fork_stays_in_process(tmp_path, monkeypatch):
 
 
 @needs_fork
-def test_failed_child_share_raises(tmp_path, monkeypatch, capfd):
+@pytest.mark.parametrize(
+    "cpus, files, rows, writers",
+    [
+        ({0, 1}, 6, 512, 1),  # 3072 rows: a second writer does not pay
+        ({0, 1}, 27, 512, 2),  # a long_horizon run
+        ({0, 1}, 2, 2048, 2),
+        ({0, 1}, 36, 2048, 2),  # a snapshots run
+        ({0, 1}, 1, 16384, 1),  # one file
+        ({0, 1, 2}, 3, 2048, 3),
+        ({0, 1, 2}, 3, 1024, 1),
+        ({0}, 36, 2048, 1),
+    ],
+)
+def test_writer_count_follows_the_rows_written(monkeypatch, cpus, files, rows, writers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    assert _writer_count(files, rows) == writers
+
+
+@needs_fork
+def test_failed_child_share_raises(tmp_path, monkeypatch, capfd, writer_per_row):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     x, state = awkward_state()
     blocked = tmp_path / "blocked"
@@ -456,7 +483,7 @@ def test_failed_child_share_raises(tmp_path, monkeypatch, capfd):
 
 
 @needs_fork
-def test_failed_caller_share_still_reaps_children(tmp_path, monkeypatch):
+def test_failed_caller_share_still_reaps_children(tmp_path, monkeypatch, writer_per_row):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     x, state = awkward_state()
     blocked = tmp_path / "blocked"
@@ -470,7 +497,7 @@ def test_failed_caller_share_still_reaps_children(tmp_path, monkeypatch):
 
 
 @needs_fork
-def test_only_the_caller_returns_from_the_writer(tmp_path, monkeypatch):
+def test_only_the_caller_returns_from_the_writer(tmp_path, monkeypatch, writer_per_row):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     x, state = awkward_state()
     sentinel = tmp_path / "pids.txt"
@@ -478,6 +505,200 @@ def test_only_the_caller_returns_from_the_writer(tmp_path, monkeypatch):
     with open(sentinel, "a", encoding="utf-8") as handle:
         handle.write(f"{os.getpid()}\n")
     assert sentinel.read_text(encoding="utf-8").split() == [str(os.getpid())]
+
+
+@needs_fork
+def test_a_failed_writer_leaves_no_report_beside_new_snapshots(tmp_path, capfd, writer_per_row):
+    # an earlier run's report.json would describe other snapshots than the
+    # new ones; a directory where a snapshot path should be fails a writer
+    raw = standard_config(tmp_path / "out", n=128, t_final=0.1)
+    raw["time"]["snapshot_stride"] = 1
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["evolve", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    assert (out / "report.json").exists()
+    (out / "snapshot_000001.csv").unlink()
+    (out / "snapshot_000001.csv").mkdir()
+    assert main(["evolve", "--config", str(cfg)]) == 2
+    assert "Is a directory" in capfd.readouterr().err
+    assert not (out / "report.json").exists()
+    assert (out / "snapshot_000002.csv").exists()
+
+
+# ------------------------------------------------------ partner process
+
+
+def partner_config(out_dir):
+    """A run of 34 steps, the last one short (t_final / dt = 33.19), with
+    a snapshot every 7 steps."""
+    raw = standard_config(out_dir, n=128, t_final=0.98, sigma=0.2, x0=7.0)
+    raw["time"]["snapshot_stride"] = 7
+    raw["packet"]["k0"] = -3.0
+    return raw
+
+
+@pytest.fixture
+def partners(monkeypatch):
+    """Force evolve's split rule to `split`; count the runs that fork a
+    partner."""
+    import rindlersim.evolution as evolution
+
+    march = evolution._march_with_partner
+    calls = []
+
+    def counted(*args):
+        calls.append(os.getpid())
+        return march(*args)
+
+    monkeypatch.setattr(evolution, "_march_with_partner", counted)
+
+    def force(split: bool):
+        monkeypatch.setattr(evolution, "_partner_pays", lambda n, n_steps: split)
+        return calls
+
+    return force
+
+
+@needs_fork
+def test_partner_run_is_byte_identical_to_the_in_process_run(tmp_path, monkeypatch, partners):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    outputs = {}
+    for split in (False, True):
+        calls = partners(split)
+        out = tmp_path / f"split{split}"
+        artifacts = cmd_evolve(load_config(partner_config(out)))
+        assert len(calls) == split
+        times = artifacts["result"].times
+        outputs[split] = _directory_bytes(out)
+    dt = times[1] / 7.0
+    assert len(times) == 6 and 0.0 < times[-1] - times[-2] - 5.0 * dt < 0.5 * dt
+    assert outputs[True] == outputs[False]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_instability_while_the_partner_waits_exits_3(tmp_path, monkeypatch, capsys, partners):
+    import rindlersim.evolution as evolution
+
+    step = evolution.TransportStepper.step_eigen
+
+    def growing(self, pair, dt):
+        # far above the norm this under-resolved packet loses a step
+        step(self, pair, dt)
+        pair *= 1.0 + 1e-3
+        return pair
+
+    monkeypatch.setattr(evolution.TransportStepper, "step_eigen", growing)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    calls = partners(True)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(partner_config(tmp_path / "out")))
+    assert main(["evolve", "--config", str(cfg)]) == 3
+    assert len(calls) == 1
+    assert "grew" in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not (tmp_path / "out").exists()
+
+
+@needs_fork
+def test_a_failed_partner_raises_and_is_reaped(tmp_path, monkeypatch, capfd, partners):
+    import rindlersim.evolution as evolution
+
+    step = evolution.TransportStepper.step_eigen
+    caller = os.getpid()
+
+    def fails_in_the_partner(self, pair, dt):
+        if os.getpid() != caller:
+            raise RuntimeError("partner step failed")
+        return step(self, pair, dt)
+
+    monkeypatch.setattr(evolution.TransportStepper, "step_eigen", fails_in_the_partner)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    partners(True)
+    with pytest.raises(OSError, match="partner process stepping psi' failed"):
+        cmd_evolve(load_config(partner_config(tmp_path / "out")))
+    assert "RuntimeError: partner step failed" in capfd.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(partner_config(tmp_path / "out")))
+    assert main(["evolve", "--config", str(cfg)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+def test_partner_without_fork_stays_in_process(tmp_path, monkeypatch, partners, missing):
+    reference = tmp_path / "reference"
+    partners(False)
+    cmd_evolve(load_config(partner_config(reference)))
+
+    def no_fork():
+        raise AssertionError("forked without os.fork and os.sched_getaffinity")
+
+    calls = partners(True)
+    monkeypatch.delattr(os, missing, raising=False)
+    if missing != "fork":
+        monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    out = tmp_path / "out"
+    cmd_evolve(load_config(partner_config(out)))
+    assert calls == []
+    assert _directory_bytes(out) == _directory_bytes(reference)
+
+
+def _children(pid: int) -> list:
+    with open(f"/proc/{pid}/task/{pid}/children", encoding="ascii") as handle:
+        return [int(child) for child in handle.read().split()]
+
+
+def _live(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii", errors="replace") as handle:
+            state = handle.read().rpartition(")")[2].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")
+
+
+@needs_fork
+def test_a_killed_cli_leaves_no_live_partner(tmp_path):
+    # N = 16384 to t = 1 is 4369 steps, which the split rule gives a partner
+    import signal
+    import time
+
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("a partner needs two CPUs")
+    if not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"):
+        pytest.skip("needs /proc/PID/task/TID/children")
+    raw = standard_config(tmp_path / "out", n=16384, t_final=1.0)
+    raw["time"]["snapshot_stride"] = 10**6
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(raw))
+    src = str(Path(rindlersim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    cli = subprocess.Popen([sys.executable, "-m", "rindlersim", "evolve", "--config", str(cfg)],
+                           env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60.0
+        while not (partner := _children(cli.pid)):
+            assert cli.poll() is None and time.monotonic() < deadline, "no partner was forked"
+            time.sleep(0.01)
+        time.sleep(0.2)  # well inside the 2.5 s or more of stepping
+        assert cli.poll() is None
+        cli.send_signal(signal.SIGKILL)
+        cli.wait()
+        # the partner ends after its next step, not at the next snapshot
+        # (the end of the run, 2 s or more of stepping away)
+        deadline = time.monotonic() + 1.0
+        while _live(partner[0]):
+            assert time.monotonic() < deadline, "the partner outlived the CLI"
+            time.sleep(0.01)
+    finally:
+        cli.kill()
+        cli.wait()
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------- limits
