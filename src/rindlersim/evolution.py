@@ -22,9 +22,10 @@ caller steps psi and the partner psi', each with a stepper built for
 its own row on the same kernel, with the same step sizes.  They meet
 once a snapshot, over two pipes: the caller takes it only once the
 partner has reached that step, and the partner waits until it is
-taken.  The partner ends with os._exit, and also once its parent is
-gone, after one step at most; the caller reaps it on every path.  Every
-float of the outputs is the one the in-process run gives.
+taken.  The partner always ends with os._exit: after the last
+snapshot, on EOF from the caller, or within one step once the caller
+is gone; the caller reaps it on every path.  Every float of the
+outputs is the one the in-process run gives.
 
 evolve(packet, generator, solver) runs on a generator from
 build_generator and never rebuilds it.  The generator is applied in
@@ -79,6 +80,8 @@ from .hamiltonian import check_galileo_velocity, coefficient_arrays, find_singul
 __all__ = [
     "NORM_GROWTH_TOL",
     "MAX_STEPS",
+    "PARTNER_MIN_POINTS",
+    "PARTNER_MIN_POINT_STEPS",
     "GridWindow",
     "SolverConfig",
     "WavepacketSpec",
@@ -103,8 +106,8 @@ MAX_STEPS = 10**7
 # evolve steps psi' in a forked partner process only on a grid of at least
 # PARTNER_MIN_POINTS samples, in a run of at least PARTNER_MIN_POINT_STEPS
 # samples times steps.  Whole evolve, split over in-process time, median
-# of 15 interleaved runs on 2 shared CPUs: 0.44-0.55 at N = 16384 and 274
-# steps, 0.59 at 8192, 0.79 at 4096, but 0.91-1.03 at 2048 and 546 steps,
+# of 7-15 interleaved runs on 2 shared CPUs: 0.55 at N = 16384 and 274
+# steps, 0.59 at 8192, 0.79 at 4096, but 0.91-1.05 at 2048 and 546 steps,
 # where a step costs per numpy call more than per sample.  The fork, the
 # partner's stepper and its first page faults cost 3-5 ms: 1.01 at 16384
 # and 15 steps (246k point-steps), 0.65 at 30 steps (492k); 1.05 at 4096

@@ -365,6 +365,14 @@ def test_partner_size_rule(n, n_steps, split):
     assert evolution._partner_pays(n, n_steps) is split
 
 
+def test_partner_size_rule_at_its_cut_offs():
+    n, point_steps = evolution.PARTNER_MIN_POINTS, evolution.PARTNER_MIN_POINT_STEPS
+    steps = -(-point_steps // n)
+    assert evolution._partner_pays(n, steps)
+    assert not evolution._partner_pays(n - 1, 10 * steps)
+    assert not evolution._partner_pays(n, steps - 1)
+
+
 @pytest.mark.skipif(not hasattr(evolution.os, "sched_getaffinity"), reason="Linux affinity")
 def test_no_partner_with_one_cpu_or_a_second_thread(monkeypatch):
     import threading

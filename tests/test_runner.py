@@ -688,7 +688,7 @@ def test_a_killed_cli_leaves_no_live_partner(tmp_path):
         time.sleep(0.2)  # well inside the 2.5 s or more of stepping
         assert cli.poll() is None
         cli.send_signal(signal.SIGKILL)
-        cli.wait()
+        cli.wait(timeout=30)
         # the partner ends after its next step, not at the next snapshot
         # (the end of the run, 2 s or more of stepping away)
         deadline = time.monotonic() + 1.0
@@ -697,7 +697,7 @@ def test_a_killed_cli_leaves_no_live_partner(tmp_path):
             time.sleep(0.01)
     finally:
         cli.kill()
-        cli.wait()
+        cli.wait(timeout=30)
     assert not (tmp_path / "out").exists()
 
 
