@@ -12,8 +12,7 @@ makes its output directory only after the run returns.
 Snapshot CSVs are formatted a block of rows at a time by the vectorised
 shortest round-trip formatter of _shortest, whose fields are exactly
 repr(float(v)), and dealt round-robin over one writer per CPU in the
-process's affinity set, but at most one per _ROWS_PER_WRITER rows of
-snapshots in all: the calling process writes the first share and
+process's affinity set: the calling process writes the first share and
 forked children the others.  Which process writes a file does not
 change its bytes.
 """
@@ -71,15 +70,6 @@ _SNAPSHOT_NAME = re.compile(r"snapshot_([0-9]{6}|[1-9][0-9]{6,})\.csv")
 
 # the spellings of the one derivative, SBP(4,2) with SAT
 _DERIVATIVES = ("central4", "central-4th-order")
-
-# Writers are forked only while each takes 2048 snapshot rows or more in
-# all.  Writing time, one writer against two, median of 9 interleaved runs
-# on 2 shared CPUs: 13.1-21.4 against 15.9-17.4 ms for 6 snapshots of 512
-# rows (two runs), 41 against 27 ms for 12, 63-96 against 53-56 ms for 27,
-# 20.5 against 19.3 ms for 2 of 2048 rows.  In whole CLI runs of the three
-# long_horizon configs (28 snapshots of 512 rows) two writers won 28 of
-# 30 interleaved pairs.
-_ROWS_PER_WRITER = 2048
 
 
 @dataclass(frozen=True)
@@ -267,15 +257,10 @@ def _write_snapshot(path, x, state):
         write_csv_body(handle, table)
 
 
-def _writer_count(n_files: int, rows: int) -> int:
-    """How many processes write n_files snapshots of `rows` rows each: one
-    per CPU in the affinity set, but no more than one per file or per
-    _ROWS_PER_WRITER rows in all, and one where os.fork or
-    os.sched_getaffinity is missing."""
+def _writer_count(n_files: int) -> int:
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    by_rows = n_files * rows // _ROWS_PER_WRITER
-    return max(1, min(n_files, by_rows, len(os.sched_getaffinity(0))))
+    return max(1, min(n_files, len(os.sched_getaffinity(0))))
 
 
 def _child_write(paths, x, states):
@@ -300,14 +285,14 @@ def _child_write(paths, x, states):
 
 
 def _write_snapshots(paths, x, states):
-    """Write snapshot CSVs, dealt round-robin over the writers that
-    _writer_count allows.  The caller writes the first share; each
+    """Write snapshot CSVs, dealt round-robin over one writer per CPU in
+    the process's affinity set.  The caller writes the first share; each
     other share goes to a forked child, which ends with os._exit and so
     never returns into the caller's frames.  Every child is reaped before
     this returns or raises; a child that fails raises OSError here."""
     import sys
 
-    workers = _writer_count(len(paths), len(x))
+    workers = _writer_count(len(paths))
     children = []
     if workers > 1:
         # nothing buffered before the fork may be written twice

@@ -409,16 +409,8 @@ def test_evolve_snapshots_match_repr_reference(tmp_path):
             assert handle.read() == reference_snapshot(x, state)
 
 
-@pytest.fixture
-def writer_per_row(monkeypatch):
-    """Forked writers for snapshots of a few rows: one may take each row."""
-    import rindlersim.runner as runner_module
-
-    monkeypatch.setattr(runner_module, "_ROWS_PER_WRITER", 1)
-
-
 @needs_fork
-def test_writer_count_does_not_change_bytes(tmp_path, monkeypatch, writer_per_row):
+def test_writer_count_does_not_change_bytes(tmp_path, monkeypatch):
     x, state = awkward_state()
     states = [state] + [
         EnlargedSpinorField(grid=state.grid, even=state.even * k, odd=state.odd / k)
@@ -427,7 +419,7 @@ def test_writer_count_does_not_change_bytes(tmp_path, monkeypatch, writer_per_ro
     outputs = {}
     for cpus in ({0}, {0, 1, 2}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-        assert _writer_count(len(states), len(x)) == len(cpus)
+        assert _writer_count(len(states)) == len(cpus)
         out = tmp_path / f"cpus{len(cpus)}"
         out.mkdir()
         paths = [out / f"snapshot_{i:06d}.csv" for i in range(len(states))]
@@ -443,7 +435,7 @@ def test_writer_without_fork_stays_in_process(tmp_path, monkeypatch):
 
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "fork", no_fork, raising=False)
-    assert _writer_count(4, 10**6) == 1
+    assert _writer_count(4) == 1
     x, state = awkward_state()
     paths = [tmp_path / f"s{i}.csv" for i in range(4)]
     _write_snapshots(paths, x, [state] * 4)
@@ -451,26 +443,7 @@ def test_writer_without_fork_stays_in_process(tmp_path, monkeypatch):
 
 
 @needs_fork
-@pytest.mark.parametrize(
-    "cpus, files, rows, writers",
-    [
-        ({0, 1}, 6, 512, 1),  # 3072 rows: a second writer does not pay
-        ({0, 1}, 27, 512, 2),  # a long_horizon run
-        ({0, 1}, 2, 2048, 2),
-        ({0, 1}, 36, 2048, 2),  # a snapshots run
-        ({0, 1}, 1, 16384, 1),  # one file
-        ({0, 1, 2}, 3, 2048, 3),
-        ({0, 1, 2}, 3, 1024, 1),
-        ({0}, 36, 2048, 1),
-    ],
-)
-def test_writer_count_follows_the_rows_written(monkeypatch, cpus, files, rows, writers):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-    assert _writer_count(files, rows) == writers
-
-
-@needs_fork
-def test_failed_child_share_raises(tmp_path, monkeypatch, capfd, writer_per_row):
+def test_failed_child_share_raises(tmp_path, monkeypatch, capfd):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     x, state = awkward_state()
     blocked = tmp_path / "blocked"
@@ -483,7 +456,7 @@ def test_failed_child_share_raises(tmp_path, monkeypatch, capfd, writer_per_row)
 
 
 @needs_fork
-def test_failed_caller_share_still_reaps_children(tmp_path, monkeypatch, writer_per_row):
+def test_failed_caller_share_still_reaps_children(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     x, state = awkward_state()
     blocked = tmp_path / "blocked"
@@ -497,7 +470,7 @@ def test_failed_caller_share_still_reaps_children(tmp_path, monkeypatch, writer_
 
 
 @needs_fork
-def test_only_the_caller_returns_from_the_writer(tmp_path, monkeypatch, writer_per_row):
+def test_only_the_caller_returns_from_the_writer(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     x, state = awkward_state()
     sentinel = tmp_path / "pids.txt"
@@ -508,7 +481,7 @@ def test_only_the_caller_returns_from_the_writer(tmp_path, monkeypatch, writer_p
 
 
 @needs_fork
-def test_a_failed_writer_leaves_no_report_beside_new_snapshots(tmp_path, capfd, writer_per_row):
+def test_a_failed_writer_leaves_no_report_beside_new_snapshots(tmp_path, capfd):
     # an earlier run's report.json would describe other snapshots than the
     # new ones; a directory where a snapshot path should be fails a writer
     raw = standard_config(tmp_path / "out", n=128, t_final=0.1)
