@@ -1,10 +1,11 @@
-"""Layer benches on pytest-benchmark: importing the CLI, config
-loading, coefficient sampling, both routes of the characteristics
-oracle, the stepper's construction, the RK4 step at N = 512, 2048 and
-16384 (in one process), one whole evolve of the longest long_horizon run
-and of the fine_grid geometry (psi' stepped by a forked partner where
-evolve splits), one snapshot's report row, one snapshot CSV at N = 2048 and at N = 16384, and the
-report.json of a demos/04 run, each timed on its own.
+"""Layer benches on pytest-benchmark: the cold start of the singularity
+and coeffs CLI children and of the imports of evolve, config loading,
+coefficient sampling, both routes of the characteristics oracle, the
+stepper's construction, the RK4 step at N = 512, 2048 and 16384 (in one
+process), one whole evolve of the longest long_horizon run and of the
+fine_grid geometry (psi' stepped by a forked partner where evolve
+splits), one snapshot's report row, one snapshot CSV at N = 2048 and at
+N = 16384, and the report.json of a demos/04 run, each timed on its own.
 
 Run from the repository root:
 
@@ -138,13 +139,20 @@ def test_write_report_demo04(benchmark, tmp_path):
     assert len(json.loads(path.read_text())["rows"]) == len(result.snapshots)
 
 
-def test_import_cli(benchmark):
-    # a fresh interpreter importing rindlersim.cli, as every CLI run does;
-    # no bytecode is written (as in perfbench's children), so without a
+@pytest.mark.parametrize("command", ["singularity", "coeffs", "runner"])
+def test_cold_start(benchmark, tmp_path, command):
+    # a fresh interpreter: the singularity and coeffs CLI children, and
+    # the import of rindlersim.runner, which is what evolve loads.  No
+    # bytecode is written (as in perfbench's children), so without a
     # __pycache__ under src every round compiles the sources
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
-    command = [sys.executable, "-c", "import rindlersim.cli"]
-    benchmark.pedantic(subprocess.run, (command,), {"env": env, "check": True}, rounds=20)
+    argv = {
+        "singularity": ["-m", "rindlersim", "singularity", "--json"],
+        "coeffs": ["-m", "rindlersim", "coeffs", "--out", str(tmp_path / "coeffs.csv")],
+        "runner": ["-c", "import rindlersim.runner"],
+    }[command]
+    kwargs = {"env": env, "check": True, "stdout": subprocess.DEVNULL}
+    benchmark.pedantic(subprocess.run, ([sys.executable, *argv],), kwargs, rounds=20)
 
 
 def test_transport_stepper_2048(benchmark):

@@ -4,6 +4,12 @@ evolve and limits.
 Exit codes: 0 on success, 3 for numerical instability during a run
 (InstabilityError), and 2 for every other error the package raises
 (RindlerSimError) and for files that cannot be read or written.
+
+Each subcommand loads only what it runs: coeffs, singularity and limits
+come from `scans`, which loads no numpy (coeffs and limits import the
+coefficients when called); `runner` and the solver load only when
+evolve calls `load_config` or `cmd_evolve`.  main calls all five through
+this module's globals.
 """
 
 import argparse
@@ -12,7 +18,21 @@ import sys
 
 from .coords import Acceleration
 from .errors import ConfigError, InstabilityError, RindlerSimError
-from .runner import cmd_coeffs, cmd_evolve, cmd_limits, cmd_singularity, load_config
+from .scans import cmd_coeffs, cmd_limits, cmd_singularity
+
+
+def load_config(source):
+    """runner.load_config; the first call imports runner and the solver."""
+    from .runner import load_config
+
+    return load_config(source)
+
+
+def cmd_evolve(config, out_dir=None) -> dict:
+    """runner.cmd_evolve; the first call imports runner and the solver."""
+    from .runner import cmd_evolve
+
+    return cmd_evolve(config, out_dir=out_dir)
 
 
 def _parse_values(raw: str) -> list:

@@ -10,6 +10,12 @@ right wedge x > |t| of the inertial plane:
 The inverse map is chi = sqrt(x^2 - t^2), tau = chi * arctanh(t / x).
 All operations here are pure functions; the left/future/past wedges are
 out of scope and horizon contact is an error, never a NaN.
+
+The right wedge in u = a*x ends at U_MAX, and the generator of
+`hamiltonian` is singular at the root U_STAR of its denominator, which
+depends on u alone.  U_STAR is tabulated here, so `find_singularity`
+reports the singular point, and `SingularPoint.branch` the side of the
+band U_STAR +- SINGULAR_MARGIN that a window lies on, without numpy.
 """
 
 from dataclasses import dataclass
@@ -27,7 +33,22 @@ __all__ = [
     "minkowski_to_rindler",
     "boost_of",
     "u_of_delta",
+    "SingularPoint",
+    "U_STAR",
+    "U_MAX",
+    "SINGULAR_MARGIN",
+    "find_singularity",
 ]
+
+# The root of the generator denominator D(u) = u + s - u*arccosh(u),
+# s = sqrt(u^2 - 1): the float bisect(denominator, 1.001, 20) of
+# `hamiltonian` returns, which the tests re-derive bit for bit.
+U_STAR = 3.6241998947013805
+# half-width of the excluded band around the denominator root, in u
+SINGULAR_MARGIN = 0.05
+# Largest u in the domain: u*r and (u + s)(1 - r/2) overflow from about
+# 2.5e305, which would make D and f infinite or NaN.
+U_MAX = 1e305
 
 
 @dataclass(frozen=True)
@@ -118,3 +139,31 @@ def u_of_delta(delta: float) -> float:
     if not (0.0 < delta < 1.0):
         raise CoordinateDomainError(f"delta must lie in (0, 1), got {delta}")
     return 1.0 / math.sqrt(delta * (2.0 - delta))
+
+
+@dataclass(frozen=True)
+class SingularPoint:
+    """Location where the generator denominator vanishes."""
+
+    u_star: float
+    x_star: float
+    v_star: float
+
+    def branch(self, a: Acceleration, x: float) -> tuple[float, float]:
+        """The closed x-interval of x's side of the singular band, where
+        windows and characteristic traces may lie at acceleration a.  The
+        1e-12 keeps a*x inside [1, U_MAX] at either end of the wedge, as
+        a*(1/a) can round below 1 (a = 49) and a*(U_MAX/a) above U_MAX
+        (a = 1.1)."""
+        a = a.a
+        if a * x > self.u_star:
+            return (self.u_star + SINGULAR_MARGIN) / a, U_MAX * (1.0 - 1e-12) / a
+        return (1.0 + 1e-12) / a, (self.u_star - SINGULAR_MARGIN) / a
+
+
+def find_singularity(a: Acceleration) -> SingularPoint:
+    """The singular point at acceleration a: the denominator root U_STAR,
+    its physical position x_star = U_STAR / a and the boost velocity
+    there, v_star = sqrt(1 - 1/U_STAR^2)."""
+    v_star = math.sqrt(1.0 - 1.0 / (U_STAR * U_STAR))
+    return SingularPoint(u_star=U_STAR, x_star=U_STAR / a.a, v_star=v_star)

@@ -60,7 +60,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .coords import Acceleration
+from .coords import Acceleration, find_singularity
 from .embedding import (
     EnlargedSpinorField,
     Grid,
@@ -75,11 +75,12 @@ from .embedding import (
 # wraps these names on this module, so they must stay importable from it.
 from .embedding import correlation, expectation_inertial, expectation_rindler  # noqa: F401
 from .errors import ConfigError, InstabilityError
-from .hamiltonian import check_galileo_velocity, coefficient_arrays, find_singularity
+from .hamiltonian import check_galileo_velocity, coefficient_arrays
 
 __all__ = [
     "NORM_GROWTH_TOL",
     "MAX_STEPS",
+    "MAX_SNAPSHOT_SAMPLES",
     "PARTNER_MIN_POINTS",
     "PARTNER_MIN_POINT_STEPS",
     "GridWindow",
@@ -103,6 +104,13 @@ NORM_GROWTH_TOL = 1e-9
 # under 10^4.  A config past it (a tiny cfl, or a window far narrower
 # than t_final times the speed) is a mistake, not a run to wait for.
 MAX_STEPS = 10**7
+# most samples, snapshots times N, a run may take.  evolve holds each
+# snapshot as an (even, odd) pair of complex128 arrays, 32 B a sample, so
+# 2^25 samples hold 1 GiB; cmd_evolve writes them as CSV rows of 9 shortest
+# round-trip floats, at most 9 * 24 + 8 commas + LF = 225 B a row, so at
+# most 2^25 * 225 B = 7.5 GB.  N = 16384 at stride 1 to t = 0.25 takes
+# 1094 snapshots, 1.8 * 10^7 samples; demos/04 at stride 1, 1.1 * 10^6.
+MAX_SNAPSHOT_SAMPLES = 2**25
 # evolve steps psi' in a forked partner process only on a grid of at least
 # PARTNER_MIN_POINTS samples, in a run of at least PARTNER_MIN_POINT_STEPS
 # samples times steps.  Whole evolve, split over in-process time, median
@@ -120,7 +128,7 @@ PARTNER_MIN_POINT_STEPS = 500_000
 class GridWindow(Grid):
     """The Grid of a simulation at acceleration a, checked when it is
     built: first as a Grid, then for at least 64 samples that lie on one
-    side of the singular band (hamiltonian.SingularPoint.branch)."""
+    side of the singular band (coords.SingularPoint.branch)."""
 
     a: Acceleration
 
@@ -629,8 +637,9 @@ def evolve(
 ) -> EvolutionResult:
     """Run a full evolution on the generator and collect snapshots plus
     observable rows.  A packet centred outside its window is a ConfigError,
-    and so is a t_final that takes more than MAX_STEPS steps; both are
-    raised before the first step.
+    and so are a t_final that takes more than MAX_STEPS steps and snapshots
+    of more than MAX_SNAPSHOT_SAMPLES samples in all; each is raised
+    before the first step.
 
     Snapshots are taken every `solver.snapshot_stride` steps, always
     including t = 0 and the final time.  Step k < n ends at k dt, for the
@@ -660,6 +669,14 @@ def evolve(
     # a guard relative to the step count: a t_final at most 1e-12 of itself
     # past a whole number of steps takes no extra step of (next to) zero size
     n_steps = math.ceil(steps * (1.0 - 1e-12))
+    # the snapshot at t = 0, and those _march takes
+    count = 1 if n_steps == 0 else (n_steps - 1) // solver.snapshot_stride + 2
+    if count * window.n > MAX_SNAPSHOT_SAMPLES:
+        raise ConfigError(
+            f"too many snapshot samples: {count} snapshots of N = {window.n} are "
+            f"{count * window.n:.3g}, above MAX_SNAPSHOT_SAMPLES = 2^25 "
+            f"(raise snapshot_stride)"
+        )
     split = n_steps > 0 and _split(window.n, n_steps)
     stepper = TransportStepper(generator, solver, rows=(0,) if split else (0, 1))
 

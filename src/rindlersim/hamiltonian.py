@@ -15,10 +15,16 @@ so that f + g = 1 identically: the inertial combination psi_e + psi_o
 keeps obeying the original massless transport equation.  D has a single
 root u_star ~ 3.624 where the even/odd system cannot be inverted into
 Dirac-like form; windows and characteristic traces keep to one side of
-the band u_star +- SINGULAR_MARGIN (`SingularPoint.branch`).  r is
-evaluated as log1p((u - 1) + s) and g in its last form, which avoid the
-cancellations in arctanh(s/u) and s - u, so f and g keep full accuracy
-from u = 1 + 1e-12 up.  The domain ends at U_MAX = 1e305,
+the band u_star +- SINGULAR_MARGIN (`SingularPoint.branch`).  The root
+does not depend on a: `coords` holds it as U_STAR, the float that
+`bisect(denominator, *_SINGULAR_BRACKET)` returns, and its
+`find_singularity` reads it from there.  SingularPoint, U_STAR, U_MAX,
+SINGULAR_MARGIN and find_singularity live in `coords`, which loads no
+numpy, and are imported here as the same objects.
+
+r is evaluated as log1p((u - 1) + s) and g in its last form, which avoid
+the cancellations in arctanh(s/u) and s - u, so f and g keep full
+accuracy from u = 1 + 1e-12 up.  The domain ends at U_MAX = 1e305,
 below the overflow of u*r; products that overflow earlier (u^2 - 1 from
 u ~ 1.3e154, D (u + s) from u ~ 3.6e152) are taken apart there.
 
@@ -42,7 +48,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import Acceleration, u_of_delta
+from .coords import (
+    SINGULAR_MARGIN,
+    U_MAX,
+    U_STAR,
+    SingularPoint,
+    find_singularity,
+    u_of_delta,
+)
 from .errors import ConfigError, CoordinateDomainError, SingularityError
 
 __all__ = [
@@ -55,6 +68,7 @@ __all__ = [
     "GALILEO_V_WARN",
     "ULTRA_SINGULAR_MARGIN",
     "U_MAX",
+    "U_STAR",
     "hyperbolic_factors",
     "denominator",
     "coefficients",
@@ -73,8 +87,6 @@ __all__ = [
 SINGULAR_EPS = 1e-9
 # the coefficient scan flags rows with |f| above this cap
 COEFFICIENT_CAP = 10.0
-# half-width of the excluded band around the denominator root, in u
-SINGULAR_MARGIN = 0.05
 # |v| above MAX is outside the small-velocity limit, above WARN marginal
 GALILEO_V_MAX = 0.2
 GALILEO_V_WARN = 0.1
@@ -83,11 +95,8 @@ ULTRA_SINGULAR_MARGIN = 0.5
 
 _MODES = ("exact", "galileo", "ultra")
 
+# the bracket whose bisection gives coords.U_STAR
 _SINGULAR_BRACKET = (1.001, 20.0)
-
-# Largest u in the domain: u*r and (u + s)(1 - r/2) overflow from about
-# 2.5e305, which would make D and f infinite or NaN.
-U_MAX = 1e305
 
 
 @dataclass(frozen=True)
@@ -98,26 +107,6 @@ class CoefficientPoint:
     f: float
     g: float
     denominator: float
-
-
-@dataclass(frozen=True)
-class SingularPoint:
-    """Location where the generator denominator vanishes."""
-
-    u_star: float
-    x_star: float
-    v_star: float
-
-    def branch(self, a: Acceleration, x: float) -> tuple[float, float]:
-        """The closed x-interval of x's side of the singular band, where
-        windows and characteristic traces may lie at acceleration a.  The
-        1e-12 keeps a*x inside [1, U_MAX] at either end of the wedge, as
-        a*(1/a) can round below 1 (a = 49) and a*(U_MAX/a) above U_MAX
-        (a = 1.1)."""
-        a = a.a
-        if a * x > self.u_star:
-            return (self.u_star + SINGULAR_MARGIN) / a, U_MAX * (1.0 - 1e-12) / a
-        return (1.0 + 1e-12) / a, (self.u_star - SINGULAR_MARGIN) / a
 
 
 def hyperbolic_factors(u):
@@ -276,17 +265,6 @@ def bisect(fn, lo: float, hi: float) -> float:
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
-
-
-def find_singularity(a: Acceleration) -> SingularPoint:
-    """Locate the denominator root u_star by bisection on [1.001, 20].
-
-    Also reports the physical position x_star = u_star / a and the
-    boost velocity there, v_star = sqrt(1 - 1/u_star^2).
-    """
-    u_star = bisect(denominator, *_SINGULAR_BRACKET)
-    v_star = math.sqrt(1.0 - 1.0 / (u_star * u_star))
-    return SingularPoint(u_star=u_star, x_star=u_star / a.a, v_star=v_star)
 
 
 def check_galileo_velocity(v: float):

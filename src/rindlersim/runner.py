@@ -1,5 +1,6 @@
-"""Scenario orchestration: strict config loading, coefficient scans,
-singularity reports, evolution runs and limit-comparison tables.
+"""Scenario orchestration: strict config loading and evolution runs.
+The coefficient scans, singularity reports and limit-comparison tables
+live in `scans` and are imported here under their old names.
 
 Serialization rules, chosen for bit-stable diffs: CSV files use '.'
 decimals, shortest round-trip float formatting, LF line endings and
@@ -39,16 +40,11 @@ from .evolution import (
     build_generator,
     evolve,
 )
-from .hamiltonian import (
-    COEFFICIENT_CAP,
-    SINGULAR_EPS,
-    coefficient_arrays,
-    coefficients,
-    find_singularity,
-    galileo_coefficients,
-    ultra_coefficients,
-    ultra_f_delta,
-)
+# Not called here any more, but the traced benchmark (perfbench/tracing.py)
+# wraps this name on this module, so it must stay importable from it.
+from .coords import find_singularity  # noqa: F401
+# callers reach the scan commands as runner.cmd_* as well
+from .scans import _fmt, _write_csv, cmd_coeffs, cmd_limits, cmd_singularity  # noqa: F401
 
 __all__ = [
     "SimulationConfig",
@@ -224,18 +220,6 @@ def load_config(source) -> SimulationConfig:
     )
 
 
-def _fmt(value: float) -> str:
-    """Shortest decimal string that round-trips to the same double."""
-    return repr(float(value))
-
-
-def _write_csv(path, header: str, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(header + "\n")
-        for row in rows:
-            handle.write(",".join(row) + "\n")
-
-
 def _write_snapshot(path, x, state):
     """One snapshot CSV: x and the real and imaginary parts of psi_e,
     psi_o, psi = psi_e + psi_o and psi' = psi_e - psi_o, one grid point
@@ -313,52 +297,6 @@ def _write_snapshots(paths, x, states):
         raise OSError(f"{failed} of {workers} snapshot writers failed")
 
 
-def cmd_coeffs(
-    a: Acceleration, u_min: float, u_max: float, samples: int, out_path
-) -> list:
-    """Scan (u, f, g, D) over [u_min, u_max] and write a CSV.
-
-    The scan is in the dimensionless u = a*x, so `a` does not change it.
-
-    Rows where the coefficients are unusable (|D| <= eps or |f| above
-    the coefficient cap) carry empty f and g fields and the flag
-    'singular' in the regime_flag column.
-    """
-    if not (1.0 <= u_min < u_max):
-        raise ConfigError(f"need 1 <= u_min < u_max, got [{u_min}, {u_max}]")
-    if samples < 2:
-        raise ConfigError(f"need at least 2 samples, got {samples}")
-    u = np.linspace(u_min, u_max, samples)
-    # every sample is evaluated; singular ones are flagged, not raised
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f, g, D = coefficient_arrays(u, eps=-math.inf)
-    flagged = (np.abs(D) <= SINGULAR_EPS) | (np.abs(f) > COEFFICIENT_CAP)
-
-    rows = []
-    for i in range(samples):
-        if flagged[i]:
-            rows.append([_fmt(u[i]), "", "", _fmt(D[i]), "singular"])
-        else:
-            rows.append([_fmt(u[i]), _fmt(f[i]), _fmt(g[i]), _fmt(D[i]), ""])
-    _write_csv(out_path, "u,f,g,D,regime_flag", rows)
-    return rows
-
-
-def cmd_singularity(a: Acceleration) -> dict:
-    """Singular-point report: root location, velocity there, and the
-    near-light-speed estimate of the singular velocity for comparison."""
-    point = find_singularity(a)
-    delta_star = 2.0 * math.exp(-4.0)  # root of log(delta/2) = -4
-    return {
-        "a": a.a,
-        "u_star": point.u_star,
-        "x_star": point.x_star,
-        "v_star": point.v_star,
-        "ultra_delta_star": delta_star,
-        "ultra_v_estimate": 1.0 - delta_star,
-    }
-
-
 def _report_payload(config: SimulationConfig, result: EvolutionResult) -> dict:
     rows = []
     for row in result.report:
@@ -415,33 +353,3 @@ def cmd_evolve(config: SimulationConfig, out_dir=None) -> dict:
         "snapshot_paths": snapshot_paths,
         "result": result,
     }
-
-
-def cmd_limits(regime: str, values, out_path) -> list:
-    """Comparison table between exact coefficients and a limit regime.
-
-    galileo: v, f_exact, f_limit, |difference| and the bound v^2.
-    ultra: delta, g_exact at the matching position, -f_delta and their
-    relative deviation.
-    """
-    rows = []
-    if regime == "galileo":
-        for v in values:
-            v = float(v)
-            limit = galileo_coefficients(v)
-            exact = coefficients(limit.u)
-            diff = abs(exact.f - limit.f)
-            rows.append([_fmt(v), _fmt(exact.f), _fmt(limit.f), _fmt(diff), _fmt(v * v)])
-        _write_csv(out_path, "v,f_exact,f_limit,abs_diff,bound_v2", rows)
-    elif regime == "ultra":
-        for delta in values:
-            delta = float(delta)
-            fd = ultra_f_delta(delta)
-            limit = ultra_coefficients(delta)
-            exact = coefficients(limit.u)
-            rel = abs(exact.g - (-fd)) / abs(fd)
-            rows.append([_fmt(delta), _fmt(exact.g), _fmt(-fd), _fmt(rel)])
-        _write_csv(out_path, "delta,g_exact,minus_f_delta,rel_deviation", rows)
-    else:
-        raise ConfigError(f"unknown limit regime {regime!r}")
-    return rows

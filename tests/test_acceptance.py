@@ -31,6 +31,7 @@ from rindlersim.evolution import (
     evolve,
 )
 from rindlersim.hamiltonian import (
+    U_STAR,
     bisect,
     coefficient_arrays,
     coefficients,
@@ -44,7 +45,6 @@ from rindlersim.oracle import characteristics_rindler, compare, exact_inertial
 from rindlersim.runner import cmd_coeffs, cmd_evolve, load_config
 
 A1 = Acceleration(1.0)
-U_STAR = 3.6241998947013467
 
 # standard run: a sigma=0.5 packet at x0=6 sits only 3 sigma from the
 # window edge and its boundary tail breaks the tight norm/error bounds,

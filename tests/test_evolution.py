@@ -766,6 +766,21 @@ def test_step_count_is_bounded_before_the_first_step(monkeypatch):
             evolve(PACKET, generator, SolverConfig(cfl=cfl))
 
 
+@pytest.mark.parametrize("t_steps, stride", [(0, 1), (1, 1), (40, 1), (40, 3), (40, 40), (40, 41)])
+def test_snapshot_samples_are_bounded_before_the_first_step(monkeypatch, t_steps, stride):
+    # a run of MAX_SNAPSHOT_SAMPLES samples in its snapshots runs; one
+    # sample fewer allowed is a ConfigError, raised before any stepper exists
+    generator = build_generator(WINDOW)
+    solver = SolverConfig(t_final=t_steps * cfl_dt(WINDOW, generator, 0.5), snapshot_stride=stride)
+    samples = len(evolve(PACKET, generator, solver).snapshots) * WINDOW.n
+    monkeypatch.setattr(evolution, "MAX_SNAPSHOT_SAMPLES", samples)
+    assert len(evolve(PACKET, generator, solver).snapshots) * WINDOW.n == samples
+    monkeypatch.setattr(evolution, "MAX_SNAPSHOT_SAMPLES", samples - 1)
+    monkeypatch.setattr(evolution, "TransportStepper", None)
+    with pytest.raises(ConfigError, match="too many snapshot samples"):
+        evolve(PACKET, generator, solver)
+
+
 @pytest.mark.parametrize("amplitude", [1e-100, -1e-100, 1e100])
 def test_observables_are_linear_in_the_amplitude(amplitude):
     # at the ends of the allowed range the run completes, and its report

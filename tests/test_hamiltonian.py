@@ -11,6 +11,8 @@ from rindlersim.hamiltonian import (
     COEFFICIENT_CAP,
     ULTRA_SINGULAR_MARGIN,
     U_MAX,
+    U_STAR,
+    _SINGULAR_BRACKET,
     bisect,
     coefficient_arrays,
     coefficients,
@@ -23,8 +25,6 @@ from rindlersim.hamiltonian import (
     ultra_f_delta,
     ultra_f_delta_coarse,
 )
-
-U_STAR = 3.6241998947013467  # frozen from the bisection below
 
 
 def sample_positions(count=2000, lo=1.000001, hi=1000.0, exclude=0.05):
@@ -268,6 +268,13 @@ def test_find_singularity():
     assert point.v_star == pytest.approx(0.961, abs=1e-3)
     assert point.x_star == point.u_star
     assert denominator(point.u_star) == pytest.approx(0.0, abs=1e-11)
+
+
+@pytest.mark.parametrize("a", [0.1, 1.0, 49.0])
+def test_tabulated_root_is_the_bisection_root_bit_for_bit(a):
+    # U_STAR is tabulated; it must stay the float the bisection of D returns
+    assert U_STAR == bisect(denominator, *_SINGULAR_BRACKET)
+    assert find_singularity(Acceleration(a)).u_star == U_STAR
 
 
 def test_singularity_matches_rapidity_equation():

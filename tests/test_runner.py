@@ -883,6 +883,10 @@ def _evolve_argv(edit):
         # about 1e202 steps: past MAX_STEPS, so it exits before the first
         (_evolve_argv(lambda raw: raw["time"].update(cfl=1e-200, t_final=1.0)), 2,
          "error: t_final = 1 takes too many steps"),
+        # about 3.4e6 steps at stride 1: under MAX_STEPS, but 4.3e8 snapshot
+        # samples, past MAX_SNAPSHOT_SAMPLES, so it exits before the first step
+        (_evolve_argv(lambda raw: raw["time"].update(t_final=1e5, snapshot_stride=1)), 2,
+         "error: too many snapshot samples: 3386668 snapshots of N = 128"),
         (lambda tmp_path: ["limits", "--regime", "galileo", "--values", "0.01,abc",
                            "--out", str(tmp_path / "l.csv")], 2,
          "error: could not parse --values"),
@@ -893,7 +897,7 @@ def _evolve_argv(edit):
     ids=["a-string", "a-zero", "a-negative", "derivative-upwind1", "x_min-nan",
          "window-empty", "output_dir-number", "no-output_dir",
          "sigma-underflow", "sigma-overflow", "amplitude-1e-310", "amplitude-1e200",
-         "t_final-1e308", "cfl-1e-310", "cfl-1e-200",
+         "t_final-1e308", "cfl-1e-310", "cfl-1e-200", "snapshot-samples",
          "values-not-numbers", "coeffs-one-sample", "singularity"],
 )
 def test_entry_point_exit_codes(tmp_path, argv, code, stderr):
