@@ -1,6 +1,6 @@
 """Scenario orchestration: strict config loading and evolution runs.
 The coefficient scans, singularity reports and limit-comparison tables
-live in `scans` and are imported here under their old names.
+live in `scans`; this module re-exports their commands.
 
 Serialization rules, chosen for bit-stable diffs: CSV files use '.'
 decimals, shortest round-trip float formatting, LF line endings and
@@ -40,8 +40,8 @@ from .evolution import (
     build_generator,
     evolve,
 )
-# Not called here any more, but the traced benchmark (perfbench/tracing.py)
-# wraps this name on this module, so it must stay importable from it.
+# Unused here, but the traced benchmark (perfbench/tracing.py) wraps this
+# name on this module, so it must stay importable from it.
 from .coords import find_singularity  # noqa: F401
 # callers reach the scan commands as runner.cmd_* as well
 from .scans import _fmt, _write_csv, cmd_coeffs, cmd_limits, cmd_singularity  # noqa: F401
