@@ -20,7 +20,9 @@ observable O:
     <psi|O|psi'> = <Psi| (sigma_z - i sigma_y) (x) O |Psi>
 
 Inner products are plain Riemann sums sum(conj(u) * v) * dx on the
-uniform grid, matching the discrete norms used by the evolution module.
+uniform grid.  evolve's report rows (_report_row) use them, but its
+growth check does not: it measures psi in the SBP norm, whose edge
+samples carry their own weights (TransportStepper.norm).
 """
 
 import math

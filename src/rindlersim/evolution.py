@@ -15,17 +15,17 @@ consistency hook.
 
 The two rows share no data between snapshots.  So on a large run (at
 least PARTNER_MIN_POINTS samples and PARTNER_MIN_POINT_STEPS
-point-steps), where os.fork exists, the process has one thread and at
-least two CPUs, evolve holds the pair in an anonymous shared mapping
-and forks one partner process right after the t = 0 snapshot: the
-caller steps psi and the partner psi', each with a stepper built for
-its own row on the same kernel, with the same step sizes.  They meet
-once a snapshot, over two pipes: the caller takes it only once the
-partner has reached that step, and the partner waits until it is
-taken.  The partner always ends with os._exit: after the last
-snapshot, on EOF from the caller, or within one step once the caller
-is gone; the caller reaps it on every path.  Every float of the
-outputs is the one the in-process run gives.
+point-steps), where _fork.cpus() allows two processes, evolve holds
+the pair in an anonymous shared mapping and starts one partner process
+through _fork right after the t = 0 snapshot: the caller steps psi and
+the partner psi', each with a stepper built for its own row on the
+same kernel, with the same step sizes.  They meet once a snapshot, over
+two pipes: the caller takes it only once the partner has reached that
+step, and the partner waits until it is taken.  The partner ends after
+the last snapshot, on EOF from the caller, or within one step once the
+caller is gone; the caller reaps it on every path.  _fork owns the
+fork, the child's exit and the reaping.  Every float of the outputs is
+the one the in-process run gives.
 
 evolve(packet, generator, solver) runs on a generator from
 build_generator and never rebuilds it.  The generator is applied in
@@ -52,14 +52,12 @@ import functools
 import math
 import mmap
 import os
-import signal
-import sys
-import threading
 import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import _fork
 from .coords import Acceleration, find_singularity
 from .embedding import (
     EnlargedSpinorField,
@@ -516,17 +514,9 @@ def _partner_pays(n: int, n_steps: int) -> bool:
 
 
 def _split(n: int, n_steps: int) -> bool:
-    """Whether evolve steps psi' in a forked partner: only where os.fork
-    exists, with at least two CPUs in the process's affinity set (the rule
-    of the snapshot writers), in a process of one thread, which is all a
-    fork keeps, and on a run big enough to pay."""
-    return (
-        hasattr(os, "fork")
-        and hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) >= 2
-        and threading.active_count() == 1
-        and _partner_pays(n, n_steps)
-    )
+    """Whether evolve steps psi' in a forked partner: where _fork.cpus()
+    allows two processes, on a run big enough to pay."""
+    return _fork.cpus() >= 2 and _partner_pays(n, n_steps)
 
 
 def _march(n_steps: int, dt: float, t_final: float, stride: int, step, snapshot):
@@ -542,38 +532,30 @@ def _march(n_steps: int, dt: float, t_final: float, stride: int, step, snapshot)
     snapshot(n_steps, t_final)
 
 
-def _partner(march, row, generator, solver, parent: int, reached: int, go: int):
-    """Body of the forked partner: it steps psi' (row, the (1, N) view of
+def _partner(march, row, generator, solver, parent: int, reached: int, go: int, theirs):
+    """Body of the forked partner, run by _fork.start: it closes the
+    caller's pipe ends (theirs) and steps psi' (row, the (1, N) view of
     the shared pair) with a stepper built for that row.  At each
     snapshot it writes one byte to `reached` and waits for one byte on
-    `go` before it steps on.  It ends with os._exit, as the snapshot
-    writers do: code 0 once the caller has taken the last snapshot, 1
-    after a traceback, or at once when the caller closed `go` (EOF) or
-    its parent is no longer `parent` (the caller died)."""
-    code = 1
-    try:
-        try:
-            stepper = TransportStepper(generator, solver, rows=(1,))
+    `go` before it steps on.  It returns once the caller has taken the
+    last snapshot, and ends at once with os._exit(1) when the caller
+    closed `go` (EOF) or its parent is no longer `parent` (the caller
+    died)."""
+    for end in theirs:
+        os.close(end)
+    stepper = TransportStepper(generator, solver, rows=(1,))
 
-            def step(h):
-                if os.getppid() != parent:
-                    os._exit(1)
-                stepper.step_eigen(row, h)
+    def step(h):
+        if os.getppid() != parent:
+            os._exit(1)
+        stepper.step_eigen(row, h)
 
-            def snapshot(k, t):
-                os.write(reached, b"k")
-                if not os.read(go, 1):
-                    os._exit(1)
+    def snapshot(k, t):
+        os.write(reached, b"k")
+        if not os.read(go, 1):
+            os._exit(1)
 
-            march(step, snapshot)
-            code = 0
-        except Exception:
-            import traceback
-
-            traceback.print_exc()
-            sys.stderr.flush()
-    finally:
-        os._exit(code)
+    march(step, snapshot)
 
 
 def _march_with_partner(march, pair: np.ndarray, stepper, snapshot):
@@ -585,24 +567,15 @@ def _march_with_partner(march, pair: np.ndarray, stepper, snapshot):
     first if the caller stops early; a partner that fails raises OSError
     here."""
     opened = []
-    pid = 0
+    pids = []
     done = False
     try:
         reached_r, reached_w = os.pipe()
         opened += (reached_r, reached_w)
         go_r, go_w = os.pipe()
         opened += (go_r, go_w)
-        # nothing buffered before the fork may be written twice
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
-                stream.flush()
-        parent = os.getpid()
-        pid = os.fork()
-        if pid == 0:
-            os.close(reached_r)
-            os.close(go_w)
-            _partner(march, pair[1:], stepper.generator, stepper.solver, parent,
-                     reached_w, go_r)
+        pids.append(_fork.start(_partner, march, pair[1:], stepper.generator, stepper.solver,
+                                os.getpid(), reached_w, go_r, (reached_r, go_w)))
         for end in (reached_w, go_r):
             os.close(end)
             opened.remove(end)
@@ -618,12 +591,9 @@ def _march_with_partner(march, pair: np.ndarray, stepper, snapshot):
     finally:
         for end in opened:
             os.close(end)
-        if pid:
-            if not done:
-                os.kill(pid, signal.SIGKILL)
-            status = os.waitpid(pid, 0)[1]
-    if status:
-        raise OSError(f"the partner process stepping psi' failed (wait status {status})")
+        failed = _fork.reap(pids, kill=not done)
+    if failed:
+        raise OSError("the partner process stepping psi' failed")
 
 
 def _shared_pair(n: int) -> np.ndarray:

@@ -12,10 +12,10 @@ makes its output directory only after the run returns.
 
 Snapshot CSVs are formatted a block of rows at a time by the vectorised
 shortest round-trip formatter of _shortest, whose fields are exactly
-repr(float(v)), and dealt round-robin over one writer per CPU in the
-process's affinity set: the calling process writes the first share and
-forked children the others.  Which process writes a file does not
-change its bytes.
+repr(float(v)), and dealt round-robin over as many writers as
+_fork.cpus() allows: the calling process writes the first share and
+children started through _fork the others.  Which process writes a
+file does not change its bytes.
 """
 
 import contextlib
@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from . import _fork
 from ._shortest import write_csv_body
 from .coords import Acceleration
 from .embedding import extract_inertial, extract_rindler
@@ -43,8 +44,8 @@ from .evolution import (
 # Unused here, but the traced benchmark (perfbench/tracing.py) wraps this
 # name on this module, so it must stay importable from it.
 from .coords import find_singularity  # noqa: F401
-# callers reach the scan commands as runner.cmd_* as well
-from .scans import _fmt, _write_csv, cmd_coeffs, cmd_limits, cmd_singularity  # noqa: F401
+# the scan commands live in scans; callers import them from here as well
+from .scans import cmd_coeffs, cmd_limits, cmd_singularity  # noqa: F401
 
 __all__ = [
     "SimulationConfig",
@@ -241,58 +242,25 @@ def _write_snapshot(path, x, state):
         write_csv_body(handle, table)
 
 
-def _writer_count(n_files: int) -> int:
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return max(1, min(n_files, len(os.sched_getaffinity(0))))
-
-
-def _child_write(paths, x, states):
-    """Body of a forked writer.  It always ends the process with
-    os._exit: exit code 0 once every file is written, else 1 after the
-    traceback.  So it never flushes inherited buffers, runs no atexit
-    handler and never unwinds into the frames it was forked from."""
-    code = 1
-    try:
-        try:
-            for path, state in zip(paths, states):
-                _write_snapshot(path, x, state)
-            code = 0
-        except BaseException:
-            import sys
-            import traceback
-
-            traceback.print_exc()
-            sys.stderr.flush()
-    finally:
-        os._exit(code)
-
-
 def _write_snapshots(paths, x, states):
-    """Write snapshot CSVs, dealt round-robin over one writer per CPU in
-    the process's affinity set.  The caller writes the first share; each
-    other share goes to a forked child, which ends with os._exit and so
-    never returns into the caller's frames.  Every child is reaped before
-    this returns or raises; a child that fails raises OSError here."""
-    import sys
+    """Write snapshot CSVs, dealt round-robin over as many writers as
+    _fork.cpus() allows.  The caller writes the first share; each other
+    share goes to a child started by _fork.start.  Every child is reaped
+    before this returns or raises; a child that fails raises OSError
+    here."""
+    workers = max(1, min(len(paths), _fork.cpus()))
 
-    workers = _writer_count(len(paths))
+    def write(share):
+        for path, state in zip(paths[share::workers], states[share::workers]):
+            _write_snapshot(path, x, state)
+
     children = []
-    if workers > 1:
-        # nothing buffered before the fork may be written twice
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
-                stream.flush()
     try:
         for share in range(1, workers):
-            pid = os.fork()
-            if pid == 0:
-                _child_write(paths[share::workers], x, states[share::workers])
-            children.append(pid)
-        for path, state in zip(paths[::workers], states[::workers]):
-            _write_snapshot(path, x, state)
+            children.append(_fork.start(write, share))
+        write(0)
     finally:
-        failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in children)
+        failed = _fork.reap(children)
     if failed:
         raise OSError(f"{failed} of {workers} snapshot writers failed")
 

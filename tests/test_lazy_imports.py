@@ -37,7 +37,7 @@ EXPORTED = {
 }
 NAMES = [name for names in EXPORTED.values() for name in names]
 
-SOLVER = {f"rindlersim.{m}" for m in ("embedding", "evolution", "runner", "_shortest")}
+SOLVER = {f"rindlersim.{m}" for m in ("embedding", "evolution", "runner", "_shortest", "_fork")}
 
 
 def _loaded_modules(tmp_path, *argv):

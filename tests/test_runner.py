@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import rindlersim
+from rindlersim import _fork
 from rindlersim.cli import main
 from rindlersim.coords import Acceleration
 from rindlersim.embedding import EnlargedSpinorField, Grid
@@ -17,7 +18,6 @@ from rindlersim.runner import (
     SNAPSHOT_HEADER,
     _write_snapshot,
     _write_snapshots,
-    _writer_count,
     cmd_coeffs,
     cmd_evolve,
     cmd_limits,
@@ -419,7 +419,7 @@ def test_writer_count_does_not_change_bytes(tmp_path, monkeypatch):
     outputs = {}
     for cpus in ({0}, {0, 1, 2}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-        assert _writer_count(len(states)) == len(cpus)
+        assert _fork.cpus() == len(cpus)
         out = tmp_path / f"cpus{len(cpus)}"
         out.mkdir()
         paths = [out / f"snapshot_{i:06d}.csv" for i in range(len(states))]
@@ -435,10 +435,32 @@ def test_writer_without_fork_stays_in_process(tmp_path, monkeypatch):
 
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "fork", no_fork, raising=False)
-    assert _writer_count(4) == 1
+    assert _fork.cpus() == 1
     x, state = awkward_state()
     paths = [tmp_path / f"s{i}.csv" for i in range(4)]
     _write_snapshots(paths, x, [state] * 4)
+    assert all(path.read_bytes() == reference_snapshot(x, state) for path in paths)
+
+
+@needs_fork
+def test_no_writer_forks_while_a_second_thread_runs(tmp_path, monkeypatch):
+    import threading
+
+    def no_fork():
+        raise AssertionError("forked while a second thread runs")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", no_fork)
+    x, state = awkward_state()
+    paths = [tmp_path / f"s{i}.csv" for i in range(4)]
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        _write_snapshots(paths, x, [state] * 4)
+    finally:
+        release.set()
+        thread.join()
     assert all(path.read_bytes() == reference_snapshot(x, state) for path in paths)
 
 
