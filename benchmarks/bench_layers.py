@@ -2,10 +2,12 @@
 and coeffs CLI children and of the imports of evolve, config loading,
 coefficient sampling, both routes of the characteristics oracle, the
 stepper's construction, the RK4 step at N = 512, 2048 and 16384 (in one
-process), one whole evolve of the longest long_horizon run and of the
-fine_grid geometry (psi' stepped by a forked partner where evolve
-splits), one snapshot's report row, one snapshot CSV at N = 2048 and at
-N = 16384, and the report.json of a demos/04 run, each timed on its own.
+process), one whole evolve of the longest long_horizon run, of the
+fine_grid geometry and of an N = 8192 run with a snapshot every 10
+steps (in the last two psi' is stepped by a forked partner where evolve
+splits, and the second sends its row across 28 times), one snapshot's
+report row, one snapshot CSV at N = 2048 and at N = 16384, and the
+report.json of a demos/04 run, each timed on its own.
 
 Run from the repository root:
 
@@ -197,3 +199,15 @@ def test_evolve_fine_grid(benchmark):
     solver = SolverConfig(t_final=0.0625, snapshot_stride=1_000_000)
     result = benchmark.pedantic(evolve, (packet, generator, solver), rounds=10)
     assert len(result.times) == 2
+
+
+def test_evolve_split_snapshots(benchmark):
+    # [4.5, 12] at N = 8192 to t = 0.125, 274 steps with a snapshot every
+    # 10 of them: where evolve splits, the partner sends psi' (128 KiB)
+    # down its pipe at each of the 28 snapshots after t = 0
+    window = GridWindow(4.5, 12.0, 8192, A1)
+    generator = build_generator(window)
+    packet = WavepacketSpec(x0=7.5, sigma=0.15, k0=0.0)
+    solver = SolverConfig(t_final=0.125, snapshot_stride=10)
+    result = benchmark.pedantic(evolve, (packet, generator, solver), rounds=10)
+    assert len(result.times) == 29

@@ -15,17 +15,18 @@ consistency hook.
 
 The two rows share no data between snapshots.  So on a large run (at
 least PARTNER_MIN_POINTS samples and PARTNER_MIN_POINT_STEPS
-point-steps), where _fork.cpus() allows two processes, evolve holds
-the pair in an anonymous shared mapping and starts one partner process
-through _fork right after the t = 0 snapshot: the caller steps psi and
-the partner psi', each with a stepper built for its own row on the
-same kernel, with the same step sizes.  They meet once a snapshot, over
-two pipes: the caller takes it only once the partner has reached that
-step, and the partner waits until it is taken.  The partner ends after
-the last snapshot, on EOF from the caller, or within one step once the
-caller is gone; the caller reaps it on every path.  _fork owns the
-fork, the child's exit and the reaping.  Every float of the outputs is
-the one the in-process run gives.
+point-steps), where _fork.cpus() allows two processes, evolve starts
+one partner process through _fork right after the t = 0 snapshot: the
+caller steps psi and the partner its own copy of psi', each with a
+stepper built for its own row on the same kernel, with the same step
+sizes.  At each snapshot the partner writes psi' down one pipe and
+steps on; the caller reads it into the pair before it assembles and
+reports.  Nothing else passes between them, and no memory is shared.
+The partner ends after the last snapshot, on EPIPE once the caller
+closed the pipe, or within one step once the caller is gone; the
+caller reaps it on every path, before it closes the pipe.  _fork owns
+the fork, the child's exit and the reaping.  Every float of the
+outputs is the one the in-process run gives.
 
 evolve(packet, generator, solver) runs on a generator from
 build_generator and never rebuilds it.  The generator is applied in
@@ -50,7 +51,6 @@ absorbing layer.
 import cmath
 import functools
 import math
-import mmap
 import os
 import warnings
 from dataclasses import dataclass, field, fields
@@ -532,18 +532,17 @@ def _march(n_steps: int, dt: float, t_final: float, stride: int, step, snapshot)
     snapshot(n_steps, t_final)
 
 
-def _partner(march, row, generator, solver, parent: int, reached: int, go: int, theirs):
+def _partner(march, row, generator, solver, parent: int, out: int, theirs: int):
     """Body of the forked partner, run by _fork.start: it closes the
-    caller's pipe ends (theirs) and steps psi' (row, the (1, N) view of
-    the shared pair) with a stepper built for that row.  At each
-    snapshot it writes one byte to `reached` and waits for one byte on
-    `go` before it steps on.  It returns once the caller has taken the
-    last snapshot, and ends at once with os._exit(1) when the caller
-    closed `go` (EOF) or its parent is no longer `parent` (the caller
-    died)."""
-    for end in theirs:
-        os.close(end)
+    caller's pipe end (theirs) and steps its own copy of psi' (row, the
+    (1, N) view of the pair) with a stepper built for that row.  At each
+    snapshot it writes the row's bytes to the pipe end `out` and steps
+    on.  It returns after the last snapshot, and ends at once with
+    os._exit(1) when the caller closed its end (EPIPE) or its parent is
+    no longer `parent` (the caller died)."""
+    os.close(theirs)
     stepper = TransportStepper(generator, solver, rows=(1,))
+    data = memoryview(row).cast("B")
 
     def step(h):
         if os.getppid() != parent:
@@ -551,8 +550,13 @@ def _partner(march, row, generator, solver, parent: int, reached: int, go: int, 
         stepper.step_eigen(row, h)
 
     def snapshot(k, t):
-        os.write(reached, b"k")
-        if not os.read(go, 1):
+        # out stays open until os._exit: an EOF the caller sees means the
+        # partner's traceback, if any, is printed
+        try:
+            sent = 0
+            while sent < len(data):
+                sent += os.write(out, data[sent:])
+        except BrokenPipeError:
             os._exit(1)
 
     march(step, snapshot)
@@ -560,46 +564,33 @@ def _partner(march, row, generator, solver, parent: int, reached: int, go: int, 
 
 def _march_with_partner(march, pair: np.ndarray, stepper, snapshot):
     """march with psi (pair[0]) stepped here by stepper, built for row 0,
-    and psi' (pair[1]) by a forked partner; pair must lie in memory the
-    two processes share.  Before snapshot(k, t) the caller waits until the
-    partner has taken step k, and the partner waits until the snapshot is
-    taken.  The partner is reaped before this returns or raises, killed
-    first if the caller stops early; a partner that fails raises OSError
-    here."""
-    opened = []
+    and psi' by a forked partner that steps its own copy of it and sends
+    the row down one pipe at each snapshot; before snapshot(k, t) the
+    caller reads that row into pair[1].  The partner is reaped before
+    this returns or raises, killed first if the caller stops early, and
+    before the pipe is closed; a partner that fails raises OSError here."""
+    read_end, write_end = os.pipe()
     pids = []
     done = False
-    try:
-        reached_r, reached_w = os.pipe()
-        opened += (reached_r, reached_w)
-        go_r, go_w = os.pipe()
-        opened += (go_r, go_w)
-        pids.append(_fork.start(_partner, march, pair[1:], stepper.generator, stepper.solver,
-                                os.getpid(), reached_w, go_r, (reached_r, go_w)))
-        for end in (reached_w, go_r):
-            os.close(end)
-            opened.remove(end)
+    with open(read_end, "rb") as rows:
+        try:
+            try:
+                pids.append(_fork.start(_partner, march, pair[1:], stepper.generator,
+                                        stepper.solver, os.getpid(), write_end, read_end))
+            finally:
+                os.close(write_end)
 
-        def partner_snapshot(k, t):
-            if not os.read(reached_r, 1):
-                raise OSError(f"the partner process stepping psi' failed before step {k}")
-            snapshot(k, t)
-            os.write(go_w, b"g")
+            def partner_snapshot(k, t):
+                if rows.readinto(pair[1]) < pair[1].nbytes:
+                    raise OSError(f"the partner process stepping psi' failed before step {k}")
+                snapshot(k, t)
 
-        march(functools.partial(stepper.step_eigen, pair[:1]), partner_snapshot)
-        done = True
-    finally:
-        for end in opened:
-            os.close(end)
-        failed = _fork.reap(pids, kill=not done)
+            march(functools.partial(stepper.step_eigen, pair[:1]), partner_snapshot)
+            done = True
+        finally:
+            failed = _fork.reap(pids, kill=not done)
     if failed:
         raise OSError("the partner process stepping psi' failed")
-
-
-def _shared_pair(n: int) -> np.ndarray:
-    """An empty (2, N) complex array in an anonymous shared mapping, which
-    a forked process writes into the same pages as its parent."""
-    return np.ndarray((2, n), dtype=complex, buffer=mmap.mmap(-1, 2 * n * 16))
 
 
 def evolve(
@@ -617,12 +608,13 @@ def evolve(
     shorter than dt, or longer by at most 1e-12 of t_final.  The
     stepper advances one (psi, psi') array in place; each snapshot is a
     new (even, odd) state assembled from it.  On a run that _split
-    admits, the array lies in shared memory and a forked partner steps
-    psi' while this process steps psi; the two meet only at snapshots,
-    and every float is the one the in-process run gives.  Instability is
-    found at snapshots: non-finite observables raise InstabilityError, and
-    so does a snapshot where psi's TransportStepper.norm exceeds its t = 0
-    value by more than NORM_GROWTH_TOL of it.
+    admits, a forked partner steps its own copy of psi' while this
+    process steps psi, and sends psi' back to be read into the array at
+    each snapshot; every float is the one the in-process run gives.
+    Instability is found at snapshots: non-finite observables raise
+    InstabilityError, and so does a snapshot where psi's
+    TransportStepper.norm exceeds its t = 0 value by more than
+    NORM_GROWTH_TOL of it.
     """
     window = generator.window
     packet.check_window(window)
@@ -652,7 +644,7 @@ def evolve(
 
     psi0 = ScalarField(grid=grid, values=packet.evaluate(generator.x))
     state0 = embed_initial(psi0)
-    pair = _shared_pair(window.n) if split else np.empty((2, window.n), dtype=complex)
+    pair = np.empty((2, window.n), dtype=complex)
     pair[0] = extract_inertial(state0).values
     pair[1] = extract_rindler(state0).values
 

@@ -87,6 +87,8 @@ def test_evolve_loads_the_solver_but_no_oracle(tmp_path):
     loaded = _loaded_modules(tmp_path, "evolve", "--config", "c.json")
     assert SOLVER <= loaded
     assert "rindlersim.oracle" not in loaded
+    # evolve's psi' partner shares no memory with its caller
+    assert "mmap" not in loaded
 
 
 def test_every_exported_name_is_its_modules_object():

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -524,10 +525,11 @@ def test_a_failed_writer_leaves_no_report_beside_new_snapshots(tmp_path, capfd):
 # ------------------------------------------------------ partner process
 
 
-def partner_config(out_dir):
-    """A run of 34 steps, the last one short (t_final / dt = 33.19), with
-    a snapshot every 7 steps."""
-    raw = standard_config(out_dir, n=128, t_final=0.98, sigma=0.2, x0=7.0)
+def partner_config(out_dir, n=128, t_final=0.98):
+    """A run of 34 steps, the last one short (t_final / dt = 33.19 at the
+    defaults; 33.20 at N = 8192 and t_final = 0.0152), with a snapshot
+    every 7 steps."""
+    raw = standard_config(out_dir, n=n, t_final=t_final, sigma=0.2, x0=7.0)
     raw["time"]["snapshot_stride"] = 7
     raw["packet"]["k0"] = -3.0
     return raw
@@ -556,13 +558,22 @@ def partners(monkeypatch):
 
 
 @needs_fork
-def test_partner_run_is_byte_identical_to_the_in_process_run(tmp_path, monkeypatch, partners):
+@pytest.mark.parametrize(
+    "n, t_final",
+    # a 2 KiB row, and a 128 KiB row: more than a 64 KiB pipe buffer holds,
+    # so the partner's writes and the caller's reads of a row are partial
+    [(128, 0.98), (8192, 0.0152)],
+    ids=["n128", "n8192"],
+)
+def test_partner_run_is_byte_identical_to_the_in_process_run(
+    tmp_path, monkeypatch, partners, n, t_final
+):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     outputs = {}
     for split in (False, True):
         calls = partners(split)
         out = tmp_path / f"split{split}"
-        artifacts = cmd_evolve(load_config(partner_config(out)))
+        artifacts = cmd_evolve(load_config(partner_config(out, n, t_final)))
         assert len(calls) == split
         times = artifacts["result"].times
         outputs[split] = _directory_bytes(out)
@@ -622,6 +633,30 @@ def test_a_failed_partner_raises_and_is_reaped(tmp_path, monkeypatch, capfd, par
     cfg.write_text(json.dumps(partner_config(tmp_path / "out")))
     assert main(["evolve", "--config", str(cfg)]) == 2
     assert not (tmp_path / "out").exists()
+
+
+@needs_fork
+def test_a_partner_whose_reader_is_gone_ends_silently(tmp_path, capfd):
+    # the read end is closed, as when the CLI was killed: the partner's
+    # first snapshot write fails with EPIPE, and the partner ends with
+    # code 1 and no traceback
+    import rindlersim.evolution as evolution
+
+    config = load_config(partner_config(tmp_path / "out"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    # stands in for the caller's read end, which the partner closes
+    theirs = os.open(os.devnull, os.O_RDONLY)
+    pair = np.zeros((2, config.window.n), dtype=complex)
+    march = functools.partial(evolution._march, 14, 0.01, 0.14, 7)
+    try:
+        pid = _fork.start(evolution._partner, march, pair[1:], config.generator,
+                          config.solver, os.getpid(), write_end, theirs)
+    finally:
+        os.close(write_end)
+        os.close(theirs)
+    assert _fork.reap([pid]) == 1
+    assert "Traceback" not in capfd.readouterr().err
 
 
 @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
