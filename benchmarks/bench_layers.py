@@ -3,9 +3,10 @@ and coeffs CLI children and of the imports of evolve, config loading,
 coefficient sampling, both routes of the characteristics oracle, the
 stepper's construction, the RK4 step at N = 512, 2048 and 16384 (in one
 process), one whole evolve of the longest long_horizon run, of the
-fine_grid geometry and of an N = 8192 run with a snapshot every 10
-steps (in the last two psi' is stepped by a forked partner where evolve
-splits, and the second sends its row across 28 times), one snapshot's
+fine_grid geometry, of an N = 8192 run with a snapshot every 10 steps
+and of a 100-step run at N = 4096 (in the last three psi' is stepped by
+a forked partner where evolve splits, the second sends its row across
+28 times, and the third is the smallest grid that splits), one snapshot's
 report row, one snapshot CSV at N = 2048 and at N = 16384, and the
 report.json of a demos/04 run, each timed on its own.
 
@@ -18,6 +19,7 @@ The file name does not match test_*.py and benchmarks/ lies outside the
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -211,3 +213,16 @@ def test_evolve_split_snapshots(benchmark):
     solver = SolverConfig(t_final=0.125, snapshot_stride=10)
     result = benchmark.pedantic(evolve, (packet, generator, solver), rounds=10)
     assert len(result.times) == 29
+
+
+def test_evolve_4096_100(benchmark):
+    # [4.5, 12] at N = 4096 to t = 0.0915, 100 steps and two snapshots
+    # (410k point-steps): the smallest grid evolve splits, on a short run,
+    # where the partner's start-up costs most against its share of steps
+    window = GridWindow(4.5, 12.0, 4096, A1)
+    generator = build_generator(window)
+    packet = WavepacketSpec(x0=7.5, sigma=0.15, k0=0.0)
+    solver = SolverConfig(t_final=0.0915, snapshot_stride=1_000_000)
+    assert math.ceil(solver.t_final / cfl_dt(window, generator, 0.5)) == 100
+    result = benchmark.pedantic(evolve, (packet, generator, solver), rounds=20)
+    assert len(result.times) == 2

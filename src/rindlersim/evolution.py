@@ -13,20 +13,20 @@ a new array that later steps leave alone.  A coupled two-component
 stepper, with plain allocating RK4, is kept alongside as a
 consistency hook.
 
-The two rows share no data between snapshots.  So on a large run (at
-least PARTNER_MIN_POINTS samples and PARTNER_MIN_POINT_STEPS
-point-steps), where _fork.cpus() allows two processes, evolve starts
-one partner process through _fork right after the t = 0 snapshot: the
-caller steps psi and the partner its own copy of psi', each with a
-stepper built for its own row on the same kernel, with the same step
-sizes.  At each snapshot the partner writes psi' down one pipe and
-steps on; the caller reads it into the pair before it assembles and
-reports.  Nothing else passes between them, and no memory is shared.
-The partner ends after the last snapshot, on EPIPE once the caller
-closed the pipe, or within one step once the caller is gone; the
-caller reaps it on every path, before it closes the pipe.  _fork owns
-the fork, the child's exit and the reaping.  Every float of the
-outputs is the one the in-process run gives.
+The two rows share no data between snapshots.  So on a large grid (at
+least PARTNER_MIN_POINTS samples, however many steps the run takes),
+where _fork.cpus() allows two processes, evolve starts one partner
+process through _fork right after the t = 0 snapshot: the caller steps
+psi and the partner its own copy of psi', each with a stepper built for
+its own row on the same kernel, with the same step sizes.  At each
+snapshot the partner writes psi' down one pipe and steps on; the caller
+reads it into the pair before it assembles and reports.  Nothing else
+passes between them, and no memory is shared.  The partner ends after
+the last snapshot, on EPIPE once the caller closed the pipe, or within
+one step once the caller is gone; the caller reaps it on every path,
+before it closes the pipe.  _fork owns the fork, the child's exit and
+the reaping.  Every float of the outputs is the one the in-process run
+gives.
 
 evolve(packet, generator, solver) runs on a generator from
 build_generator and never rebuilds it.  The generator is applied in
@@ -80,7 +80,6 @@ __all__ = [
     "MAX_STEPS",
     "MAX_SNAPSHOT_SAMPLES",
     "PARTNER_MIN_POINTS",
-    "PARTNER_MIN_POINT_STEPS",
     "GridWindow",
     "SolverConfig",
     "WavepacketSpec",
@@ -110,16 +109,17 @@ MAX_STEPS = 10**7
 # 1094 snapshots, 1.8 * 10^7 samples; demos/04 at stride 1, 1.1 * 10^6.
 MAX_SNAPSHOT_SAMPLES = 2**25
 # evolve steps psi' in a forked partner process only on a grid of at least
-# PARTNER_MIN_POINTS samples, in a run of at least PARTNER_MIN_POINT_STEPS
-# samples times steps.  Whole evolve, split over in-process time, median
-# of 7-15 interleaved runs on 2 shared CPUs: 0.55 at N = 16384 and 274
-# steps, 0.59 at 8192, 0.79 at 4096, but 0.91-1.05 at 2048 and 546 steps,
-# where a step costs per numpy call more than per sample.  The fork, the
-# partner's stepper and its first page faults cost 3-5 ms: 1.01 at 16384
-# and 15 steps (246k point-steps), 0.65 at 30 steps (492k); 1.05 at 4096
-# and 100 steps (410k), 0.91 at 150 steps (614k).
+# PARTNER_MIN_POINTS samples, however many steps the run takes.  Whole
+# evolve on [4.5, 12], split against in-process, medians of 21 interleaved
+# pairs on 2 shared CPUs (BENCH_25.json): 16.0 against 16.5 ms at
+# N = 16384 and 15 steps, 21.3 against 24.9 ms at 4096 and 100 steps.  The
+# fork, the partner's stepper and its first page faults cost 3-4 ms, which
+# runs of a few steps lose: 6.8 against 3.1 ms at 4096 and 5 steps.  At
+# N = 2048 a step costs per numpy call more than per sample, and a split
+# loses on the snapshots workload's 35 steps (1.22-1.24) while demos/04's
+# 546 steps read 1.03 in one round and 0.82 in the next, so the floor
+# stays where none of the benchmark's workloads changes path.
 PARTNER_MIN_POINTS = 4096
-PARTNER_MIN_POINT_STEPS = 500_000
 
 
 @dataclass(frozen=True)
@@ -356,15 +356,6 @@ class TransportStepper:
         self._edges = np.empty(self._edge_weights.shape[1:], dtype=complex)
         self._k, self._stage = (np.empty(speeds.shape, dtype=complex) for _ in range(2))
         self._eight = np.empty(speeds.size, dtype=complex)
-        self._norm_weights = np.ones(n)
-        self._norm_weights[:4] = self._norm_weights[:-5:-1] = _SBP_NORM
-
-    def norm(self, values: np.ndarray) -> float:
-        """The SBP norm of one row, which SBP-SAT does not let grow."""
-        # overflow shows up as non-finite observables, which evolve rejects
-        with np.errstate(over="ignore"):
-            weighted = np.sum(self._norm_weights * np.abs(values) ** 2)
-            return float(np.sqrt(weighted * self.dx))
 
     def _rhs(self, pair: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = -c d(pair)/dx, row by row, without allocating; out must be
@@ -506,17 +497,11 @@ def _is_finite(row: ReportRow) -> bool:
     return all(cmath.isfinite(v) for v in values if v is not None)
 
 
-def _partner_pays(n: int, n_steps: int) -> bool:
-    """The size rule of the split: a partner pays on a grid of at least
-    PARTNER_MIN_POINTS samples and a run of at least
-    PARTNER_MIN_POINT_STEPS point-steps."""
-    return n >= PARTNER_MIN_POINTS and n * n_steps >= PARTNER_MIN_POINT_STEPS
-
-
-def _split(n: int, n_steps: int) -> bool:
+def _split(n: int) -> bool:
     """Whether evolve steps psi' in a forked partner: where _fork.cpus()
-    allows two processes, on a run big enough to pay."""
-    return _fork.cpus() >= 2 and _partner_pays(n, n_steps)
+    allows two processes, on a grid of at least PARTNER_MIN_POINTS
+    samples."""
+    return _fork.cpus() >= 2 and n >= PARTNER_MIN_POINTS
 
 
 def _march(n_steps: int, dt: float, t_final: float, stride: int, step, snapshot):
@@ -607,13 +592,13 @@ def evolve(
     CFL-limited dt, and the last step ends exactly on t_final: it is
     shorter than dt, or longer by at most 1e-12 of t_final.  The
     stepper advances one (psi, psi') array in place; each snapshot is a
-    new (even, odd) state assembled from it.  On a run that _split
+    new (even, odd) state assembled from it.  On a grid that _split
     admits, a forked partner steps its own copy of psi' while this
     process steps psi, and sends psi' back to be read into the array at
     each snapshot; every float is the one the in-process run gives.
     Instability is found at snapshots: non-finite observables raise
-    InstabilityError, and so does a snapshot where psi's
-    TransportStepper.norm exceeds its t = 0 value by more than
+    InstabilityError, and so does a snapshot where psi's SBP norm (the
+    _SBP_NORM weights, 1 inside) exceeds its t = 0 value by more than
     NORM_GROWTH_TOL of it.
     """
     window = generator.window
@@ -639,7 +624,7 @@ def evolve(
             f"{count * window.n:.3g}, above MAX_SNAPSHOT_SAMPLES = 2^25 "
             f"(raise snapshot_stride)"
         )
-    split = n_steps > 0 and _split(window.n, n_steps)
+    split = n_steps > 0 and _split(window.n)
     stepper = TransportStepper(generator, solver, rows=(0,) if split else (0, 1))
 
     psi0 = ScalarField(grid=grid, values=packet.evaluate(generator.x))
@@ -648,8 +633,17 @@ def evolve(
     pair[0] = extract_inertial(state0).values
     pair[1] = extract_rindler(state0).values
 
+    # psi's SBP norm, which SBP-SAT does not let grow
+    weights = np.ones(window.n)
+    weights[:4] = weights[:-5:-1] = _SBP_NORM
+
+    def growth_norm() -> float:
+        # overflow shows up as non-finite observables, which record rejects
+        with np.errstate(over="ignore"):
+            return float(np.sqrt(np.sum(weights * np.abs(pair[0]) ** 2) * window.dx))
+
     times, snapshots, report = [], [], []
-    norm0 = stepper.norm(pair[0])
+    norm0 = growth_norm()
 
     def record(k: int, t: float, state: EnlargedSpinorField):
         row = _report_row(t, state, pair)
@@ -657,7 +651,7 @@ def evolve(
             raise InstabilityError(
                 k, f"non-finite observables at step {k} (t = {t:.6g})"
             )
-        norm = stepper.norm(pair[0])
+        norm = growth_norm()
         if norm > norm0 * (1.0 + NORM_GROWTH_TOL):
             raise InstabilityError(
                 k,

@@ -348,45 +348,46 @@ def test_one_row_steppers_step_each_row_as_the_pair_stepper_does(x_min, x_max):
         assert rows.tobytes() == pair.tobytes()
 
 
-@pytest.mark.parametrize(
-    "n, n_steps, split",
-    [
-        (16384, 274, True),  # fine_grid
-        (16384, 4369, True),  # demos/04 at N = 16384
-        (4096, 150, True),
-        (2048, 546, False),  # demo04
-        (2048, 35, False),  # snapshots
-        (512, 6203, False),  # long_horizon
-        (16384, 30, False),
-        (4096, 100, False),
-    ],
+needs_affinity = pytest.mark.skipif(
+    not (hasattr(evolution.os, "fork") and hasattr(evolution.os, "sched_getaffinity")),
+    reason="a partner needs os.fork and os.sched_getaffinity",
 )
-def test_partner_size_rule(n, n_steps, split):
-    assert evolution._partner_pays(n, n_steps) is split
 
 
-def test_partner_size_rule_at_its_cut_offs():
-    n, point_steps = evolution.PARTNER_MIN_POINTS, evolution.PARTNER_MIN_POINT_STEPS
-    steps = -(-point_steps // n)
-    assert evolution._partner_pays(n, steps)
-    assert not evolution._partner_pays(n - 1, 10 * steps)
-    assert not evolution._partner_pays(n, steps - 1)
+@needs_affinity
+@pytest.mark.parametrize(
+    "n, split",
+    [(16384, True), (2048, False), (512, False)],
+    # the workloads' grids: fine_grid splits, and demo04 and snapshots
+    # (both at N = 2048) and long_horizon run in one process
+    ids=["fine_grid", "demo04_snapshots", "long_horizon"],
+)
+def test_partner_size_rule(monkeypatch, n, split):
+    monkeypatch.setattr(evolution.os, "sched_getaffinity", lambda pid: {0, 1})
+    assert evolution._split(n) is split
 
 
-@pytest.mark.skipif(not hasattr(evolution.os, "sched_getaffinity"), reason="Linux affinity")
+@needs_affinity
+def test_partner_size_rule_at_its_cut_offs(monkeypatch):
+    monkeypatch.setattr(evolution.os, "sched_getaffinity", lambda pid: {0, 1})
+    assert evolution._split(evolution.PARTNER_MIN_POINTS)
+    assert not evolution._split(evolution.PARTNER_MIN_POINTS - 1)
+
+
+@needs_affinity
 def test_no_partner_with_one_cpu_or_a_second_thread(monkeypatch):
     import threading
 
     monkeypatch.setattr(evolution.os, "sched_getaffinity", lambda pid: {0, 1})
-    assert evolution._split(16384, 274)
+    assert evolution._split(16384)
     monkeypatch.setattr(evolution.os, "sched_getaffinity", lambda pid: {0})
-    assert not evolution._split(16384, 274)
+    assert not evolution._split(16384)
     monkeypatch.setattr(evolution.os, "sched_getaffinity", lambda pid: {0, 1})
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert not evolution._split(16384, 274)
+        assert not evolution._split(16384)
     finally:
         release.set()
         thread.join()

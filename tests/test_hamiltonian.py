@@ -286,6 +286,14 @@ def test_singularity_matches_rapidity_equation():
     assert abs(point.v_star - (theta - 1.0)) <= 1e-9
 
 
+def test_bisect_needs_a_sign_change():
+    with pytest.raises(ValueError, match="no sign change"):
+        bisect(lambda x: x * x + 1.0, -1.0, 1.0)
+    # a zero at either end of the bracket is the root
+    assert bisect(lambda x: x - 1.0, 1.0, 2.0) == 1.0
+    assert bisect(lambda x: x - 2.0, 1.0, 2.0) == 2.0
+
+
 def test_singularity_position_scales_with_acceleration():
     p1 = find_singularity(Acceleration(1.0))
     p2 = find_singularity(Acceleration(2.0))

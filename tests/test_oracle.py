@@ -468,6 +468,15 @@ def test_travel_time_point_outside_the_valid_region_is_a_coverage_error():
         travel_time_origins(x, 1.0, speed, 1e-3, valid_lo=5.0)
     with pytest.raises(OracleCoverageError):
         travel_time_origins(x, 1.0, speed, 1e-3, valid_hi=np.nextafter(12.0, 0.0))
+    # a valid region of one point holds that point, but no table: the
+    # trace has nowhere to come from, either way in time
+    for t in (1.0, -1.0):
+        with pytest.raises(OracleCoverageError, match="spans no interval"):
+            travel_time_origins(np.array([5.0]), t, speed, 1e-3, 5.0, 5.0)
+    # a speed that keeps growing away from the point: each pass of the
+    # table's reach finds a faster speed, and no valid bound stops it
+    with pytest.raises(OracleCoverageError, match="could not bound"):
+        travel_time_origins(np.array([0.0]), 1.0, lambda X: 1.0 + np.abs(X), 1e-2)
 
 
 def test_travel_time_origins_past_an_edge_of_the_valid_region_are_nan():

@@ -551,7 +551,7 @@ def partners(monkeypatch):
     monkeypatch.setattr(evolution, "_march_with_partner", counted)
 
     def force(split: bool):
-        monkeypatch.setattr(evolution, "_partner_pays", lambda n, n_steps: split)
+        monkeypatch.setattr(evolution, "PARTNER_MIN_POINTS", 0 if split else 2**62)
         return calls
 
     return force
@@ -633,6 +633,33 @@ def test_a_failed_partner_raises_and_is_reaped(tmp_path, monkeypatch, capfd, par
     cfg.write_text(json.dumps(partner_config(tmp_path / "out")))
     assert main(["evolve", "--config", str(cfg)]) == 2
     assert not (tmp_path / "out").exists()
+
+
+@needs_fork
+def test_a_partner_that_fails_after_its_last_row_raises_and_is_reaped(
+    tmp_path, monkeypatch, capfd, partners
+):
+    # every row reaches the caller, so the run completes; the partner's
+    # exit code alone says it failed
+    import rindlersim.evolution as evolution
+
+    body = evolution._partner
+
+    def fails_after_its_last_row(*args):
+        body(*args)
+        raise RuntimeError("partner failed after its last row")
+
+    monkeypatch.setattr(evolution, "_partner", fails_after_its_last_row)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    calls = partners(True)
+    out = tmp_path / "out"
+    with pytest.raises(OSError, match=r"^the partner process stepping psi' failed$"):
+        cmd_evolve(load_config(partner_config(out)))
+    assert len(calls) == 1
+    assert "RuntimeError: partner failed after its last row" in capfd.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not (out / "report.json").exists()
 
 
 @needs_fork
