@@ -356,13 +356,21 @@ needs_affinity = pytest.mark.skipif(
 
 @needs_affinity
 @pytest.mark.parametrize(
-    "n, split",
-    [(16384, True), (2048, False), (512, False)],
-    # the workloads' grids: fine_grid splits, and demo04 and snapshots
-    # (both at N = 2048) and long_horizon run in one process
-    ids=["fine_grid", "demo04_snapshots", "long_horizon"],
+    "n, n_steps, split",
+    [
+        (16384, 274, True),  # fine_grid
+        (16384, 4369, True),  # demos/04 at N = 16384
+        (4096, 150, True),
+        (2048, 546, False),  # demo04
+        (2048, 35, False),  # snapshots
+        (512, 6203, False),  # long_horizon
+        (16384, 30, True),
+        (4096, 100, True),
+    ],
 )
-def test_partner_size_rule(monkeypatch, n, split):
+def test_partner_size_rule(monkeypatch, n, n_steps, split):
+    # The step count does not enter the rule: short runs on a large grid
+    # (16384 x 30, 4096 x 100) split as the long ones do.
     monkeypatch.setattr(evolution.os, "sched_getaffinity", lambda pid: {0, 1})
     assert evolution._split(n) is split
 
