@@ -1,14 +1,14 @@
-"""Layer benches on pytest-benchmark: the cold start of the singularity
-and coeffs CLI children and of the imports of evolve, config loading,
-coefficient sampling, both routes of the characteristics oracle, the
-stepper's construction, the RK4 step at N = 512, 2048 and 16384 (in one
-process), one whole evolve of the longest long_horizon run, of the
-fine_grid geometry, of an N = 8192 run with a snapshot every 10 steps
-and of a 100-step run at N = 4096 (in the last three psi' is stepped by
-a forked partner where evolve splits, the second sends its row across
-28 times, and the third is the smallest grid that splits), one snapshot's
-report row, one snapshot CSV at N = 2048 and at N = 16384, and the
-report.json of a demos/04 run, each timed on its own.
+"""Layer benches on pytest-benchmark: the cold start of the singularity,
+coeffs and t_final = 0 evolve CLI children and of the imports of evolve,
+config loading, coefficient sampling, both routes of the characteristics
+oracle, the stepper's construction, the RK4 step at N = 512, 2048 and
+16384 (in one process), one whole evolve of the longest long_horizon
+run, of the fine_grid geometry, of an N = 8192 run with a snapshot every
+10 steps and of a 100-step run at N = 4096 (in the last three psi' is
+stepped by a forked partner where evolve splits, the second sends its
+row across 28 times, and the third is the smallest grid that splits),
+one snapshot's report row, one snapshot CSV at N = 2048 and at
+N = 16384, and the report.json of a demos/04 run, each timed on its own.
 
 Run from the repository root:
 
@@ -143,17 +143,24 @@ def test_write_report_demo04(benchmark, tmp_path):
     assert len(json.loads(path.read_text())["rows"]) == len(result.snapshots)
 
 
-@pytest.mark.parametrize("command", ["singularity", "coeffs", "runner"])
+@pytest.mark.parametrize("command", ["singularity", "coeffs", "runner", "evolve"])
 def test_cold_start(benchmark, tmp_path, command):
-    # a fresh interpreter: the singularity and coeffs CLI children, and
-    # the import of rindlersim.runner, which is what evolve loads.  No
-    # bytecode is written (as in perfbench's children), so without a
-    # __pycache__ under src every round compiles the sources
+    # a fresh interpreter: the singularity and coeffs CLI children, the
+    # import of rindlersim.runner, which is what evolve loads, and an
+    # evolve child that takes no step (the demos/04 window at t_final = 0:
+    # start-up, load_config, one snapshot and exit).  No bytecode is
+    # written (as in perfbench's children), so without a __pycache__
+    # under src every round compiles the sources
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    config = tmp_path / "t0.json"
+    raw = dict(DEMO04_CONFIG, output_dir=str(tmp_path / "out"))
+    raw["time"] = dict(raw["time"], t_final=0.0)
+    config.write_text(json.dumps(raw))
     argv = {
         "singularity": ["-m", "rindlersim", "singularity", "--json"],
         "coeffs": ["-m", "rindlersim", "coeffs", "--out", str(tmp_path / "coeffs.csv")],
         "runner": ["-c", "import rindlersim.runner"],
+        "evolve": ["-m", "rindlersim", "evolve", "--config", str(config)],
     }[command]
     kwargs = {"env": env, "check": True, "stdout": subprocess.DEVNULL}
     benchmark.pedantic(subprocess.run, ([sys.executable, *argv],), kwargs, rounds=20)

@@ -10,9 +10,14 @@ come from `scans`, which loads no numpy (coeffs and limits import the
 coefficients when called); `runner` and the solver load only when
 evolve calls `load_config` or `cmd_evolve`.  main calls all five through
 this module's globals.
+
+run is the process entry of `python -m rindlersim` and of the
+`rindlersim` console script; main(argv) has no process-wide side
+effects, so tests and benchmarks call it in process.
 """
 
 import argparse
+import gc
 import json
 import sys
 
@@ -128,5 +133,23 @@ def main(argv=None) -> int:
     return 0
 
 
+def run():
+    """Process entry: run main() with the cyclic garbage collector off,
+    from before the subcommand's lazy imports to the end, and exit with
+    its status.
+
+    A run makes no reference cycle that must be freed while it runs, so
+    the collector would only walk numpy's and the package's import-time
+    objects: in collections during the imports, and in the interpreter's
+    final collection at exit, which skips what gc.freeze() froze.
+    Forked snapshot writers and the psi' partner inherit the disabled
+    collector and end with os._exit."""
+    gc.disable()
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

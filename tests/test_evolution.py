@@ -666,6 +666,49 @@ def test_report_centers_and_correlations_do_not_cancel_across_frames():
     assert row.corr_position == pytest.approx(braket(psi, x * psi_prime), rel=1e-12)
 
 
+@pytest.mark.parametrize("k0", [3.0, -3.0])
+def test_report_correlations_of_complex_fields_keep_their_sign(k0):
+    # <psi|psi'> and <psi|x psi'> = sum conj(psi) psi' dx: their conjugates,
+    # <psi'|psi>, differ only in the sign of the imaginary part, which a
+    # moving packet (k0 != 0) gives the same sign as k0 once the frames part
+    solver = SolverConfig(t_final=0.5, snapshot_stride=40)
+    result = evolve(WavepacketSpec(x0=7.5, sigma=0.3, k0=k0), build_generator(WINDOW), solver)
+    x, dx = WINDOW.grid().points(), WINDOW.dx
+    for state, row in zip(result.snapshots[1:], result.report[1:]):
+        psi, psi_prime = state.even + state.odd, state.even - state.odd
+        corr = np.sum(np.conjugate(psi) * psi_prime) * dx
+        assert row.corr_identity == pytest.approx(corr, rel=1e-12)
+        assert row.corr_position == pytest.approx(np.sum(np.conjugate(psi) * x * psi_prime) * dx,
+                                                  rel=1e-12)
+        for value in (row.corr_identity, row.corr_position):
+            assert math.copysign(1.0, k0) * value.imag > 1e-2 * abs(value)
+
+
+def test_growth_between_snapshots_is_caught_at_the_first_snapshot_it_spans(monkeypatch):
+    # psi's norm rises after step 13 and falls back after step 27: the
+    # snapshot at step 20 sees it, the last snapshot (step 69) does not
+    step = TransportStepper.step_eigen
+    calls = []
+
+    def rises_and_falls(self, pair, dt):
+        step(self, pair, dt)
+        calls.append(dt)
+        if len(calls) == 13:
+            pair *= 1.0 + 10.0 * NORM_GROWTH_TOL
+        elif len(calls) == 27:
+            pair /= 1.0 + 10.0 * NORM_GROWTH_TOL
+        return pair
+
+    monkeypatch.setattr(TransportStepper, "step_eigen", rises_and_falls)
+    generator = build_generator(WINDOW)
+    with pytest.raises(InstabilityError, match="by step 20 ") as info:
+        evolve(PACKET, generator, SolverConfig(t_final=0.5, snapshot_stride=10))
+    assert info.value.step_index == 20
+    calls.clear()
+    result = evolve(PACKET, generator, SolverConfig(t_final=0.5, snapshot_stride=100))
+    assert len(calls) == 69 and len(result.times) == 2
+
+
 def test_overflowing_observables_raise_instability():
     # far out on the right branch the packet's norm overflows though its
     # amplitude is allowed
