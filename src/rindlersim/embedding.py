@@ -22,7 +22,7 @@ observable O:
 Inner products are plain Riemann sums sum(conj(u) * v) * dx on the
 uniform grid.  evolve's report rows (_report_row) use them, but its
 growth check does not: it measures psi in the SBP norm, whose edge
-samples carry their own weights (evolution._SBP_NORM).
+samples carry their own weights (_sbp.norm_weights).
 """
 
 import math

@@ -34,18 +34,8 @@ non-symmetrized form, coefficient times derivative; it is not Hermitian
 for variable g, so only the inertial component has a conserved norm.
 Windows must stay clear of the denominator singularity: a GridWindow
 checks that when it is built, so every window that exists is one the
-solver and the oracle accept.
-
-Boundary handling: the derivative is the diagonal-norm SBP(4,2)
-operator of Mattsson & Nordstrom (2004, J. Comput. Phys. 199): the
-fourth-order central stencil inside, four closure rows at each edge,
-and norm weights 17/48, 59/48, 43/48, 49/48 (times dx) on the edge
-samples.  Each component gets zero incoming data through the SAT
-penalty of Carpenter, Gottlieb & Abarbanel (1994, J. Comput. Phys.
-111), -(c_0 / (h_0 dx)) u_0, on an edge where its characteristics
-enter; where they leave, the closure lets the field pass out.  The
-semi-discrete operator has no growing mode, so the field needs no
-absorbing layer.
+solver and the oracle accept.  The derivative, its norm and its inflow
+penalties are _sbp's SBP(4,2) operator with SAT.
 """
 
 import cmath
@@ -57,7 +47,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import _fork
+from . import _fork, _sbp
 from .coords import Acceleration, find_singularity
 from .embedding import (
     EnlargedSpinorField,
@@ -93,7 +83,14 @@ __all__ = [
 ]
 
 # relative rise of psi's SBP norm over its t = 0 value at which evolve
-# stops the run as unstable; f + g = 1, and SBP-SAT bounds that norm
+# stops the run as unstable; f + g = 1, and SBP-SAT bounds that norm.
+# One RK4 step P is not an H-contraction (||P||_H - 1 reaches 1.3e-3 at
+# cfl 1), but every product of two or more whole steps is one
+# (test_rk4_step_is_stable_in_the_sbp_norm): from step 2 on, psi's norm
+# after whole steps is at most its t = 0 value up to rounding, far below
+# this tolerance.  Only step 1 and a shortened last step can raise it, by
+# 1.3e-3 at most (measured at N = 128), and only for t = 0 data within ten
+# samples of an edge, where a packet that clears the edges has no mass.
 NORM_GROWTH_TOL = 1e-9
 # most RK4 steps a run may take: at 46 us a step on the smallest grid
 # (N = 64, 2 CPUs) 10^7 steps run for over 7 minutes, and for hours from
@@ -149,6 +146,9 @@ class GridWindow(Grid):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    # cfl <= 1 keeps a margin of about 2x: at N = 128 the spectral radius
+    # of the RK4 step first exceeds 1 at cfl 2.1 on [4.5, 12] and
+    # [1 + 1e-9, 1.4], 2.2 on [1.5, 3] and 2.5 on [3.75, 6]
     cfl: float = 0.5
     t_final: float = 1.0
     snapshot_stride: int = 1
@@ -253,66 +253,9 @@ def cfl_dt(window: GridWindow, generator: Generator, cfl: float) -> float:
     return cfl * window.dx / generator.max_speed
 
 
-# The SBP(4,2) closure (times 12 dx): the weights of rows 0-3 on columns
-# 0-5, in the order the terms are summed.  Row N-1-i mirrors row i with
-# the sign flipped, and row 4 on is the central stencil.
-_SBP_CLOSURE = (
-    (-288.0 / 17.0, 354.0 / 17.0, -48.0 / 17.0, -18.0 / 17.0, 0.0, 0.0),
-    (-6.0, 0.0, 6.0, 0.0, 0.0, 0.0),
-    (48.0 / 43.0, -354.0 / 43.0, 0.0, 354.0 / 43.0, -48.0 / 43.0, 0.0),
-    (18.0 / 49.0, 0.0, -354.0 / 49.0, 0.0, 384.0 / 49.0, -48.0 / 49.0),
-)
-# SBP norm weights of samples 0-3, times dx; mirrored on the right, 1 inside
-_SBP_NORM = (17.0 / 48.0, 59.0 / 48.0, 43.0 / 48.0, 49.0 / 48.0)
-_SBP_EDGE_NORM = _SBP_NORM[0]
-# the SAT penalty -(c_0 / (h_0 dx)) u_0 as a weight of row 0 (times 12 dx)
-_SAT_WEIGHT = 12.0 / _SBP_EDGE_NORM
 # the start of the closure sums: -0.0 + x is x for every double x, while
 # add.reduce starts from +0.0, and +0.0 + -0.0 is +0.0
 _NEGATIVE_ZERO = complex(-0.0, -0.0)
-
-
-def _derivative_central4(v: np.ndarray, dx: float) -> np.ndarray:
-    """The SBP(4,2) derivative of one row, without the SAT penalty."""
-    d = np.empty_like(v)
-    d[2:-2] = -v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]
-    for row, weights in enumerate(_SBP_CLOSURE):
-        d[row] = weights[0] * v[0]
-        d[-1 - row] = -weights[0] * v[-1]
-        for column, weight in enumerate(weights[1:], start=1):
-            d[row] += weight * v[column]
-            d[-1 - row] += -weight * v[-1 - column]
-    # a product with the reciprocal, as _rhs scales: numpy's complex
-    # division by a real forms a + b*0 and flips signed zeros
-    return d * (1.0 / (12.0 * dx))
-
-
-def _inflow(speeds: np.ndarray) -> np.ndarray:
-    """(component, edge): whether the speeds of each row of `speeds` point
-    into the window at its (left, right) edge."""
-    return np.stack((speeds[:, 0] > 0.0, speeds[:, -1] < 0.0), axis=1)
-
-
-def _edge_rows(n: int, inflow: np.ndarray):
-    """The closure rows as flat indices into an (R, N) array in C order,
-    one row per row of inflow: the targets (8 R,), the sources and the
-    weights (term, R, edge), with the SAT penalty of an inflow edge folded
-    into the weight of its edge sample."""
-    left = np.array(_SBP_CLOSURE).T  # (term, edge row)
-    terms, rows = left.shape
-    columns = np.arange(terms)[:, None].repeat(rows, axis=1)
-    targets = np.concatenate((np.arange(rows), n - 1 - np.arange(rows)))
-    sources = np.concatenate((columns, n - 1 - columns), axis=1)
-    weights = np.concatenate((left, -left), axis=1)
-    weights = np.repeat(weights[:, None, :], len(inflow), axis=1).astype(complex)
-    weights[0, :, 0] += np.where(inflow[:, 0], _SAT_WEIGHT, 0.0)
-    weights[0, :, rows] -= np.where(inflow[:, 1], _SAT_WEIGHT, 0.0)
-    row_starts = n * np.arange(len(inflow))[:, None]
-    return (
-        (row_starts + targets).ravel(),
-        row_starts + sources[:, None, :],
-        weights,
-    )
 
 
 def _assemble(grid: Grid, pair: np.ndarray) -> EnlargedSpinorField:
@@ -344,14 +287,11 @@ class TransportStepper:
         self.generator = generator
         self.solver = solver
         self.dx = generator.window.dx
-        n = generator.window.n
         speeds = np.stack((generator.c_plus, generator.c_minus))[list(rows)]
         self._inverse_spacing = 1.0 / (12.0 * self.dx)
         # complex, so that products with the complex state need no cast buffer
         self._minus_speeds = (-speeds).astype(complex).reshape(-1)
-        self._edge_targets, self._edge_sources, self._edge_weights = _edge_rows(
-            n, _inflow(speeds)
-        )
+        self._edge_targets, self._edge_sources, self._edge_weights = _sbp.closure_rows(speeds)
         self._terms = np.empty(self._edge_weights.shape, dtype=complex)
         self._edges = np.empty(self._edge_weights.shape[1:], dtype=complex)
         self._k, self._stage = (np.empty(speeds.shape, dtype=complex) for _ in range(2))
@@ -368,7 +308,7 @@ class TransportStepper:
         seam between the rows; they are closure rows, which the closure
         put overwrites, as it does the other twelve, so no value read
         across the seam is kept.  Terms are combined in the order
-        _derivative_central4 uses, and scaled as it scales, so that the two
+        _sbp.derivative uses, and scaled as it scales, so that the two
         routes give the same floats, signed zeros included, away from a
         folded SAT weight."""
         if not out.flags.c_contiguous:
@@ -421,24 +361,23 @@ class TransportStepper:
         edges = [0, -1]
         # (component, edge) rates |c| / (h_0 dx) of the inflow penalties
         speeds = np.stack((gen.c_plus[edges], gen.c_minus[edges]))
-        rates = np.where(_inflow(speeds), np.abs(speeds), 0.0) / (_SBP_EDGE_NORM * self.dx)
+        rates = np.where(_sbp.inflow(speeds), np.abs(speeds), 0.0) / (_sbp.NORM[0] * self.dx)
 
-        def rhs(e, o):
-            de = _derivative_central4(e, self.dx)
-            do = _derivative_central4(o, self.dx)
-            re, ro = -(f * de + g * do), -(g * de + f * do)
-            sat_plus = -rates[0] * (e[edges] + o[edges])
-            sat_minus = -rates[1] * (e[edges] - o[edges])
-            re[edges] += 0.5 * (sat_plus + sat_minus)
-            ro[edges] += 0.5 * (sat_plus - sat_minus)
-            return re, ro
+        def rhs(u):
+            # g sigma_x swaps the rows of the (even, odd) array u
+            d = np.stack([_sbp.derivative(row, self.dx) for row in u])
+            r = -(f * d + g * d[::-1])
+            # the penalties act on (psi, psi') = (e + o, e - o) at the edges
+            sat = -rates * np.stack((u[0] + u[1], u[0] - u[1]))[:, edges]
+            r[:, edges] += 0.5 * np.stack((sat[0] + sat[1], sat[0] - sat[1]))
+            return r
 
-        k1e, k1o = rhs(even, odd)
-        k2e, k2o = rhs(even + 0.5 * dt * k1e, odd + 0.5 * dt * k1o)
-        k3e, k3o = rhs(even + 0.5 * dt * k2e, odd + 0.5 * dt * k2o)
-        k4e, k4o = rhs(even + dt * k3e, odd + dt * k3o)
-        even = even + (dt / 6.0) * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
-        odd = odd + (dt / 6.0) * (k1o + 2.0 * k2o + 2.0 * k3o + k4o)
+        u = np.stack((even, odd))
+        k1 = rhs(u)
+        k2 = rhs(u + 0.5 * dt * k1)
+        k3 = rhs(u + 0.5 * dt * k2)
+        k4 = rhs(u + dt * k3)
+        even, odd = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         return even, odd
 
 
@@ -598,7 +537,7 @@ def evolve(
     each snapshot; every float is the one the in-process run gives.
     Instability is found at snapshots: non-finite observables raise
     InstabilityError, and so does a snapshot where psi's SBP norm (the
-    _SBP_NORM weights, 1 inside) exceeds its t = 0 value by more than
+    weights of _sbp.norm_weights) exceeds its t = 0 value by more than
     NORM_GROWTH_TOL of it.
     """
     window = generator.window
@@ -634,8 +573,7 @@ def evolve(
     pair[1] = extract_rindler(state0).values
 
     # psi's SBP norm, which SBP-SAT does not let grow
-    weights = np.ones(window.n)
-    weights[:4] = weights[:-5:-1] = _SBP_NORM
+    weights = _sbp.norm_weights(window.n)
 
     def growth_norm() -> float:
         # overflow shows up as non-finite observables, which record rejects

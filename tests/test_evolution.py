@@ -9,13 +9,13 @@ from rindlersim.embedding import EnlargedSpinorField, Grid, field_norm
 from rindlersim import evolution
 from rindlersim.errors import ConfigError, InstabilityError
 from rindlersim.hamiltonian import find_singularity
+from rindlersim._sbp import derivative as _derivative_central4, norm_weights
 from rindlersim.evolution import (
     NORM_GROWTH_TOL,
     GridWindow,
     SolverConfig,
     TransportStepper,
     WavepacketSpec,
-    _derivative_central4,
     _report_row,
     build_generator,
     cfl_dt,
@@ -459,7 +459,11 @@ def _norm_matrix(n):
 
 def test_closure_is_summation_by_parts():
     n = 64
-    Q = _norm_matrix(n) @ _closure_matrix(n)
+    H = _norm_matrix(n)
+    # the norm the solver measures psi in is the literal one, so that
+    # H D + D^T H = B holds for the solver's own (H, D)
+    assert norm_weights(n).tobytes() == np.diag(H).tobytes()
+    Q = H @ _closure_matrix(n)
     boundary = np.zeros((n, n))
     boundary[0, 0], boundary[-1, -1] = -1.0, 1.0
     assert np.max(np.abs(Q + Q.T - boundary)) <= 1e-14
@@ -502,6 +506,71 @@ def test_central_scheme_has_no_growing_mode(x_min, x_max):
         stepper = _stepper(GridWindow(x_min, x_max, n, A1), SolverConfig())
         for operator in _operators(stepper):
             assert np.max(np.linalg.eigvals(operator).real) <= 1e-10
+
+
+def _step_matrix(generator, cfl, row):
+    """P, the RK4 step of one row as a real (N, N) matrix: a stepper for N
+    copies of the row steps the N unit vectors at once, as its rows."""
+    n = generator.window.n
+    stepper = TransportStepper(generator, SolverConfig(cfl=cfl), rows=(row,) * n)
+    units = np.eye(n, dtype=complex)
+    stepper.step_eigen(units, cfl_dt(generator.window, generator, cfl))
+    assert not units.imag.any()
+    return units.real.T
+
+
+# the powers k of P whose H-norms are held: 1 to 16 one by one, then by squaring
+_POWERS = (*range(1, 17), 32, 64, 128, 256)
+
+
+def _h_norms(step):
+    """||P^k||_H = ||H^(1/2) P^k H^(-1/2)||_2 for each k of _POWERS."""
+    root = np.sqrt(norm_weights(len(step)))
+    scaled = root[:, None] * step / root
+    powers = [scaled]
+    while len(powers) < 16:
+        powers.append(scaled @ powers[-1])
+    while len(powers) < len(_POWERS):
+        powers.append(powers[-1] @ powers[-1])
+    return dict(zip(_POWERS, np.linalg.norm(np.array(powers), 2, axis=(1, 2))))
+
+
+@pytest.mark.parametrize(
+    "x_min, x_max, mode, delta, psi_prime_bound",
+    [
+        (4.5, 12.0, "exact", None, 1.5),
+        (1.5, 3.0, "exact", None, 1.5),
+        # c_minus vanishes inside: psi' has a zero mode, and P^k grows it
+        # in H to 11.3 (cfl 1, k = 256)
+        (3.75, 6.0, "exact", None, 16.0),
+        (1.0 + 1e-9, 1.4, "exact", None, 1.5),
+        (1e6, 1.5e6, "exact", None, 1.5),
+        (1.001, 1.005, "galileo", None, 1.5),  # v <= 0.1
+        (4.5, 12.0, "ultra", 1e-2, 1.5),
+    ],
+    ids=["right", "left", "mid", "horizon", "far", "galileo", "ultra"],
+)
+def test_rk4_step_is_stable_in_the_sbp_norm(x_min, x_max, mode, delta, psi_prime_bound):
+    # The fully discrete step P of each row at N = 128, cfl 0.5 and 1.
+    # Measured: rho(P) - 1 <= 2.7e-15 (psi''s zero mode on [3.75, 6]);
+    # for psi, ||P||_H - 1 <= 1.26e-3 (cfl 1, [4.5, 12]), and every longer
+    # product contracts (||P^k||_H <= 1 - 2e-13 for k >= 2): RK4's two-step strong
+    # stability for an operator that is semi-negative in H (Sun & Shu
+    # 2017, Ann. Math. Sci. Appl. 2).  psi''s generator is not Hermitian,
+    # so P^k may grow it: to 1.12 at most outside [3.75, 6].  With the SAT
+    # penalty at 0.3 of its strength, rho(P) - 1 reaches 1e-2.  The 28
+    # cases of the 7 windows take 1.6-1.7 s on 2 CPUs
+    generator = build_generator(GridWindow(x_min, x_max, 128, A1), mode, delta)
+    for cfl in (0.5, 1.0):
+        for row in (0, 1):
+            step = _step_matrix(generator, cfl, row)
+            assert np.max(np.abs(np.linalg.eigvals(step))) <= 1.0 + 1e-13
+            norms = _h_norms(step)
+            if row == 0:
+                assert norms[1] - 1.0 <= 2e-3
+                assert max(norms[k] for k in _POWERS[1:]) <= 1.0 + 1e-13
+            else:
+                assert max(norms.values()) <= psi_prime_bound
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from rindlersim._sbp import norm_weights
 from rindlersim.cli import main
 from rindlersim.coords import Acceleration
 from rindlersim.errors import RindlerSimError
@@ -28,8 +29,6 @@ from rindlersim.oracle import characteristics_rindler
 from rindlersim.runner import load_config
 
 U_STAR = find_singularity(Acceleration(1.0)).u_star  # of u = a x, the same for every a
-# SBP(4,2) norm weights of the four edge samples, mirrored at the right
-SBP_EDGE_WEIGHTS = np.array([17.0, 59.0, 43.0, 49.0]) / 48.0
 # The sweep's bound on max|psi' - reference|, for runs of at most 40 steps:
 # DX_BOUND * amplitude * dx / l, with l the packet's width shortened by
 # its carrier wavelength, plus twice the packet's value at the window
@@ -121,8 +120,7 @@ def run_cli(config):
 def sbp_norm(values):
     """The SBP norm over dx, summed on values scaled to their peak so that
     tiny values keep their digits."""
-    weights = np.ones(values.size)
-    weights[:4] = weights[:-5:-1] = SBP_EDGE_WEIGHTS
+    weights = norm_weights(values.size)
     peak = np.max(np.abs(values))
     if peak == 0.0:
         return 0.0
