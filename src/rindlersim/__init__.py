@@ -57,7 +57,6 @@ _EXPORTS = {
         (
             "EnlargedSpinorField",
             "Grid",
-            "GridObservable",
             "ScalarField",
             "correlation",
             "embed_initial",

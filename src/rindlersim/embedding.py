@@ -19,6 +19,10 @@ observable O:
     <O>_psi'  = <Psi| (I - sigma_x) (x) O |Psi>
     <psi|O|psi'> = <Psi| (sigma_z - i sigma_y) (x) O |Psi>
 
+O is always the multiplication by real per-sample weights, so the forms
+take it as an (n,) array: ones for the norm, grid.points() for the
+position, a 0/1 mask for a window projector.
+
 Inner products are plain Riemann sums sum(conj(u) * v) * dx on the
 uniform grid.  evolve's report rows (_report_row) use them, but its
 growth check does not: it measures psi in the SBP norm, whose edge
@@ -36,10 +40,6 @@ __all__ = [
     "Grid",
     "ScalarField",
     "EnlargedSpinorField",
-    "GridObservable",
-    "identity_observable",
-    "position_observable",
-    "window_projector",
     "inner",
     "field_norm",
     "embed_initial",
@@ -129,33 +129,6 @@ def _require_same_grid(a_grid: Grid, b_grid: Grid):
         raise GridMismatchError(f"grids differ: {a_grid} vs {b_grid}")
 
 
-@dataclass(frozen=True)
-class GridObservable:
-    """Hermitian single-particle observable bound to a grid: the
-    multiplication by a real per-sample array (position, identity and
-    window projectors)."""
-
-    grid: Grid
-    data: np.ndarray = field(repr=False)
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return self.data * values
-
-
-def identity_observable(grid: Grid) -> GridObservable:
-    return GridObservable(grid, np.ones(grid.n))
-
-
-def position_observable(grid: Grid) -> GridObservable:
-    return GridObservable(grid, grid.points())
-
-
-def window_projector(grid: Grid, lo: float, hi: float) -> GridObservable:
-    """Projector onto grid samples with lo <= x <= hi."""
-    x = grid.points()
-    return GridObservable(grid, ((x >= lo) & (x <= hi)).astype(float))
-
-
 def inner(u: np.ndarray, v: np.ndarray, dx: float) -> complex:
     """Plain Riemann-sum inner product <u|v> = sum(conj(u) v) dx."""
     return complex(np.sum(np.conjugate(u) * v) * dx)
@@ -195,12 +168,18 @@ def extract_rindler(psi: EnlargedSpinorField) -> ScalarField:
 
 
 def enlarged_expectation(
-    psi: EnlargedSpinorField, block: np.ndarray, obs: GridObservable
+    psi: EnlargedSpinorField, block: np.ndarray, weights: np.ndarray
 ) -> complex:
-    """Bilinear form <Psi| block (x) O |Psi> with a 2x2 spin block."""
-    _require_same_grid(psi.grid, obs.grid)
+    """Bilinear form <Psi| block (x) O |Psi> with a 2x2 spin block and O
+    the multiplication by weights, one real value per sample of psi's
+    grid; weights of any other shape are a GridMismatchError, one value
+    included (numpy would broadcast it)."""
+    if np.shape(weights) != (psi.grid.n,):
+        raise GridMismatchError(
+            f"weights have shape {np.shape(weights)}, expected ({psi.grid.n},)"
+        )
     comps = (psi.even, psi.odd)
-    applied = tuple(obs.apply(c) for c in comps)
+    applied = tuple(weights * c for c in comps)
     dx = psi.grid.dx
     total = 0.0 + 0.0j
     for i in range(2):
@@ -211,17 +190,17 @@ def enlarged_expectation(
     return total
 
 
-def expectation_inertial(psi: EnlargedSpinorField, obs: GridObservable) -> complex:
+def expectation_inertial(psi: EnlargedSpinorField, weights: np.ndarray) -> complex:
     """<O> in the inertial frame, via the (I + sigma_x) block."""
-    return enlarged_expectation(psi, IDENTITY_2 + PAULI_X, obs)
+    return enlarged_expectation(psi, IDENTITY_2 + PAULI_X, weights)
 
 
-def expectation_rindler(psi: EnlargedSpinorField, obs: GridObservable) -> complex:
+def expectation_rindler(psi: EnlargedSpinorField, weights: np.ndarray) -> complex:
     """<O> in the accelerated frame, via the (I - sigma_x) block."""
-    return enlarged_expectation(psi, IDENTITY_2 - PAULI_X, obs)
+    return enlarged_expectation(psi, IDENTITY_2 - PAULI_X, weights)
 
 
-def correlation(psi: EnlargedSpinorField, obs: GridObservable) -> complex:
+def correlation(psi: EnlargedSpinorField, weights: np.ndarray) -> complex:
     """Cross-frame form <psi|O|psi'>, via the rank-one block
     sigma_z - i sigma_y = [[1, -1], [1, -1]]."""
-    return enlarged_expectation(psi, PAULI_Z - 1.0j * PAULI_Y, obs)
+    return enlarged_expectation(psi, PAULI_Z - 1.0j * PAULI_Y, weights)

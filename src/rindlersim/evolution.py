@@ -122,8 +122,9 @@ PARTNER_MIN_POINTS = 4096
 @dataclass(frozen=True)
 class GridWindow(Grid):
     """The Grid of a simulation at acceleration a, checked when it is
-    built: first as a Grid, then for at least 64 samples that lie on one
-    side of the singular band (coords.SingularPoint.branch)."""
+    built: first as a Grid, then for 64 to MAX_SNAPSHOT_SAMPLES samples
+    (every run holds its t = 0 snapshot) that lie on one side of the
+    singular band (coords.SingularPoint.branch)."""
 
     a: Acceleration
 
@@ -131,6 +132,11 @@ class GridWindow(Grid):
         super().__post_init__()
         if self.n < 64:
             raise ConfigError(f"evolution needs at least 64 grid points, got {self.n}")
+        if self.n > MAX_SNAPSHOT_SAMPLES:
+            raise ConfigError(
+                f"N = {self.n} is above MAX_SNAPSHOT_SAMPLES = {MAX_SNAPSHOT_SAMPLES}, "
+                f"which the t = 0 snapshot alone would take"
+            )
         point = find_singularity(self.a)
         lo, hi = point.branch(self.a, self.x_min)
         if not (lo <= self.x_min and self.x_max <= hi):
@@ -560,7 +566,7 @@ def evolve(
     if count * window.n > MAX_SNAPSHOT_SAMPLES:
         raise ConfigError(
             f"too many snapshot samples: {count} snapshots of N = {window.n} are "
-            f"{count * window.n:.3g}, above MAX_SNAPSHOT_SAMPLES = 2^25 "
+            f"{count * window.n:.3g}, above MAX_SNAPSHOT_SAMPLES = {MAX_SNAPSHOT_SAMPLES} "
             f"(raise snapshot_stride)"
         )
     split = n_steps > 0 and _split(window.n)

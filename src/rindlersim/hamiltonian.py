@@ -20,7 +20,7 @@ does not depend on a: `coords` holds it as U_STAR, the float that
 `bisect(denominator, *_SINGULAR_BRACKET)` returns, and its
 `find_singularity` reads it from there.  SingularPoint, U_STAR, U_MAX,
 SINGULAR_MARGIN and find_singularity live in `coords`, which loads no
-numpy, and are imported here as the same objects.
+numpy; this module imports only U_MAX from there, the end of its domain.
 
 r is evaluated as log1p((u - 1) + s) and g in its last form, which avoid
 the cancellations in arctanh(s/u) and s - u, so f and g keep full
@@ -48,33 +48,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import (
-    SINGULAR_MARGIN,
-    U_MAX,
-    U_STAR,
-    SingularPoint,
-    find_singularity,
-    u_of_delta,
-)
+from .coords import U_MAX, u_of_delta
 from .errors import ConfigError, CoordinateDomainError, SingularityError
 
 __all__ = [
     "CoefficientPoint",
-    "SingularPoint",
     "SINGULAR_EPS",
     "COEFFICIENT_CAP",
-    "SINGULAR_MARGIN",
     "GALILEO_V_MAX",
     "GALILEO_V_WARN",
     "ULTRA_SINGULAR_MARGIN",
-    "U_MAX",
-    "U_STAR",
     "hyperbolic_factors",
     "denominator",
     "coefficients",
     "coefficient_arrays",
     "coefficients_via_inversion",
-    "find_singularity",
     "check_galileo_velocity",
     "galileo_coefficients",
     "ultra_f_delta",

@@ -42,7 +42,7 @@ from .evolution import GridWindow, WavepacketSpec
 from .hamiltonian import coefficient_arrays
 # Not called here any more, but the traced benchmark (perfbench/tracing.py)
 # wraps this name on this module, so it must stay importable from it.
-from .hamiltonian import find_singularity  # noqa: F401
+from .coords import find_singularity  # noqa: F401
 
 __all__ = [
     "ErrorReport",

@@ -1,6 +1,6 @@
 """Scenario orchestration: strict config loading and evolution runs.
 The coefficient scans, singularity reports and limit-comparison tables
-live in `scans`; this module re-exports their commands.
+live in `scans`, with their commands.
 
 Serialization rules, chosen for bit-stable diffs: CSV files use '.'
 decimals, shortest round-trip float formatting, LF line endings and
@@ -44,16 +44,11 @@ from .evolution import (
 # Unused here, but the traced benchmark (perfbench/tracing.py) wraps this
 # name on this module, so it must stay importable from it.
 from .coords import find_singularity  # noqa: F401
-# the scan commands live in scans; callers import them from here as well
-from .scans import cmd_coeffs, cmd_limits, cmd_singularity  # noqa: F401
 
 __all__ = [
     "SimulationConfig",
     "load_config",
-    "cmd_coeffs",
-    "cmd_singularity",
     "cmd_evolve",
-    "cmd_limits",
     "SNAPSHOT_HEADER",
 ]
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from rindlersim.cli import main
-from rindlersim.coords import Acceleration
+from rindlersim.coords import U_STAR, Acceleration, find_singularity
 from rindlersim.embedding import (
     EnlargedSpinorField,
     Grid,
@@ -18,10 +18,7 @@ from rindlersim.embedding import (
     expectation_rindler,
     extract_inertial,
     extract_rindler,
-    identity_observable,
     inner,
-    position_observable,
-    window_projector,
 )
 from rindlersim.evolution import (
     GridWindow,
@@ -31,18 +28,17 @@ from rindlersim.evolution import (
     evolve,
 )
 from rindlersim.hamiltonian import (
-    U_STAR,
     bisect,
     coefficient_arrays,
     coefficients,
     coefficients_via_inversion,
     denominator,
-    find_singularity,
     galileo_coefficients,
     ultra_f_delta,
 )
 from rindlersim.oracle import characteristics_rindler, compare, exact_inertial
-from rindlersim.runner import cmd_coeffs, cmd_evolve, load_config
+from rindlersim.runner import cmd_evolve, load_config
+from rindlersim.scans import cmd_coeffs
 
 A1 = Acceleration(1.0)
 
@@ -175,11 +171,9 @@ def test_criterion_10_observable_identities():
     with criterion(10, "bilinear forms equal direct computations to 1e-12"):
         grid = Grid(-4.0, 4.0, 96)
         rng = np.random.default_rng(2024)
-        observables = (
-            identity_observable(grid),
-            position_observable(grid),
-            window_projector(grid, -1.0, 2.0),
-        )
+        x = grid.points()
+        # the grid observables as weights: identity, position, a window projector
+        observables = (np.ones(grid.n), x, ((x >= -1.0) & (x <= 2.0)).astype(float))
         dx = grid.dx
         for _ in range(100):
             state = EnlargedSpinorField(
@@ -191,12 +185,12 @@ def test_criterion_10_observable_identities():
             psi_prime = extract_rindler(state).values
             for obs in observables:
                 pairs = (
-                    (expectation_inertial(state, obs), inner(psi, obs.apply(psi), dx)),
+                    (expectation_inertial(state, obs), inner(psi, obs * psi, dx)),
                     (
                         expectation_rindler(state, obs),
-                        inner(psi_prime, obs.apply(psi_prime), dx),
+                        inner(psi_prime, obs * psi_prime, dx),
                     ),
-                    (correlation(state, obs), inner(psi, obs.apply(psi_prime), dx)),
+                    (correlation(state, obs), inner(psi, obs * psi_prime, dx)),
                 )
                 for got, want in pairs:
                     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))

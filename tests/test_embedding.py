@@ -13,16 +13,22 @@ from rindlersim.embedding import (
     extract_inertial,
     extract_rindler,
     field_norm,
-    identity_observable,
     inner,
-    position_observable,
-    window_projector,
     IDENTITY_2,
     PAULI_X,
 )
 from rindlersim.errors import ConfigError, GridMismatchError
 
 GRID = Grid(x_min=-5.0, x_max=5.0, n=128)
+# the grid observables: the multiplication by real per-sample weights
+ONES = np.ones(GRID.n)
+X = GRID.points()
+
+
+def window_mask(grid, lo, hi):
+    """Weights of the projector onto the samples with lo <= x <= hi."""
+    x = grid.points()
+    return ((x >= lo) & (x <= hi)).astype(float)
 
 
 def gaussian(grid, x0=0.0, sigma=1.0, k0=0.0):
@@ -103,37 +109,36 @@ def test_linear_map_consistency():
 def test_expectation_identity_on_pure_even():
     p = gaussian(GRID)
     state = EnlargedSpinorField(GRID, even=p, odd=np.zeros_like(p))
-    value = expectation_inertial(state, identity_observable(GRID))
+    value = expectation_inertial(state, ONES)
     assert value.real == pytest.approx(field_norm(p, GRID.dx) ** 2, rel=1e-13)
     assert abs(value.imag) <= 1e-14 * abs(value.real)
     # with a vanishing odd part the two frames agree
-    assert expectation_rindler(state, identity_observable(GRID)) == pytest.approx(value)
+    assert expectation_rindler(state, ONES) == pytest.approx(value)
 
 
 def test_position_expectation_of_centered_packet():
     p = gaussian(GRID, x0=1.25, sigma=0.4)
     state = EnlargedSpinorField(GRID, even=p, odd=np.zeros_like(p))
-    pos = expectation_inertial(state, position_observable(GRID))
-    norm_sq = expectation_inertial(state, identity_observable(GRID))
+    pos = expectation_inertial(state, X)
+    norm_sq = expectation_inertial(state, ONES)
     assert (pos / norm_sq).real == pytest.approx(1.25, abs=1e-9)
 
 
 def test_rindler_expectation_squares_away_sign():
     q = gaussian(GRID, k0=1.0)
     state = EnlargedSpinorField(GRID, even=np.zeros_like(q), odd=q)
-    value = expectation_rindler(state, identity_observable(GRID))
+    value = expectation_rindler(state, ONES)
     assert value.real == pytest.approx(field_norm(q, GRID.dx) ** 2, rel=1e-13)
 
 
 def test_correlation_trivial_cases():
     p = gaussian(GRID)
-    ident = identity_observable(GRID)
     pure_even = EnlargedSpinorField(GRID, even=p, odd=np.zeros_like(p))
-    assert correlation(pure_even, ident).real == pytest.approx(
+    assert correlation(pure_even, ONES).real == pytest.approx(
         field_norm(p, GRID.dx) ** 2, rel=1e-13
     )
     pure_odd = EnlargedSpinorField(GRID, even=np.zeros_like(p), odd=p)
-    assert correlation(pure_odd, ident).real == pytest.approx(
+    assert correlation(pure_odd, ONES).real == pytest.approx(
         -field_norm(p, GRID.dx) ** 2, rel=1e-13
     )
 
@@ -143,23 +148,23 @@ def test_bilinear_forms_match_direct_computation(seed):
     rng = np.random.default_rng(seed)
     state = random_spinor(GRID, rng)
     observables = (
-        identity_observable(GRID),
-        position_observable(GRID),
-        window_projector(GRID, -1.0, 2.5),
+        ONES,
+        X,
+        window_mask(GRID, -1.0, 2.5),
     )
     psi = extract_inertial(state).values
     psi_prime = extract_rindler(state).values
     dx = GRID.dx
     for obs in observables:
-        scale = abs(inner(psi, obs.apply(psi), dx)) + 1.0
+        scale = abs(inner(psi, obs * psi, dx)) + 1.0
         assert abs(
-            expectation_inertial(state, obs) - inner(psi, obs.apply(psi), dx)
+            expectation_inertial(state, obs) - inner(psi, obs * psi, dx)
         ) <= 1e-12 * scale
         assert abs(
-            expectation_rindler(state, obs) - inner(psi_prime, obs.apply(psi_prime), dx)
+            expectation_rindler(state, obs) - inner(psi_prime, obs * psi_prime, dx)
         ) <= 1e-12 * scale
         assert abs(
-            correlation(state, obs) - inner(psi, obs.apply(psi_prime), dx)
+            correlation(state, obs) - inner(psi, obs * psi_prime, dx)
         ) <= 1e-12 * scale
 
 
@@ -168,8 +173,8 @@ def test_expectations_are_real_for_hermitian_observables():
     for _ in range(20):
         state = random_spinor(GRID, rng)
         for obs in (
-            position_observable(GRID),
-            window_projector(GRID, 0.0, 4.0),
+            X,
+            window_mask(GRID, 0.0, 4.0),
         ):
             for form in (expectation_inertial, expectation_rindler):
                 value = form(state, obs)
@@ -179,7 +184,7 @@ def test_expectations_are_real_for_hermitian_observables():
 def test_correlation_is_generally_complex():
     rng = np.random.default_rng(23)
     state = random_spinor(GRID, rng)
-    value = correlation(state, position_observable(GRID))
+    value = correlation(state, X)
     assert abs(value.imag) > 1e-6
 
 
@@ -202,9 +207,14 @@ def test_grid_mismatch_is_an_error():
         GRID, even=gaussian(GRID), odd=np.zeros(GRID.n, dtype=complex)
     )
     with pytest.raises(GridMismatchError):
-        expectation_inertial(state, identity_observable(other))
+        expectation_inertial(state, np.ones(other.n))
     with pytest.raises(GridMismatchError):
-        correlation(state, position_observable(other))
+        correlation(state, other.points())
+    # one weight would broadcast over every sample
+    with pytest.raises(GridMismatchError, match=r"shape \(1,\)"):
+        expectation_rindler(state, np.ones(1))
+    with pytest.raises(GridMismatchError):
+        enlarged_expectation(state, IDENTITY_2, np.ones((1, GRID.n)))
 
 
 def test_grid_validation():
@@ -225,7 +235,7 @@ def test_block_forms_reduce_to_pauli_expansion():
     # (I + sigma_x) and (I - sigma_x) sum to twice the identity block
     rng = np.random.default_rng(31)
     state = random_spinor(GRID, rng)
-    obs = position_observable(GRID)
+    obs = X
     total = expectation_inertial(state, obs) + expectation_rindler(state, obs)
     direct = 2.0 * enlarged_expectation(state, IDENTITY_2, obs)
     assert total == pytest.approx(direct, rel=1e-13)

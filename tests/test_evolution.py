@@ -1,14 +1,22 @@
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from rindlersim.coords import Acceleration
-from rindlersim.embedding import EnlargedSpinorField, Grid, field_norm
+from rindlersim.coords import Acceleration, find_singularity
+from rindlersim.embedding import (
+    EnlargedSpinorField,
+    Grid,
+    correlation,
+    enlarged_expectation,
+    expectation_inertial,
+    expectation_rindler,
+    field_norm,
+)
 from rindlersim import evolution
 from rindlersim.errors import ConfigError, InstabilityError
-from rindlersim.hamiltonian import find_singularity
 from rindlersim._sbp import derivative as _derivative_central4, norm_weights
 from rindlersim.evolution import (
     NORM_GROWTH_TOL,
@@ -751,6 +759,33 @@ def test_report_correlations_of_complex_fields_keep_their_sign(k0):
                                                   rel=1e-12)
         for value in (row.corr_identity, row.corr_position):
             assert math.copysign(1.0, k0) * value.imag > 1e-2 * abs(value)
+
+
+@pytest.mark.parametrize("k0", [3.0, -3.0])
+def test_report_rows_are_the_pauli_block_forms(k0):
+    # the paper's route to every report field, held against the report's
+    # plain inner products of (psi, psi'): 2x2 blocks tensored with a grid
+    # observable, the weights ones or x, on the snapshot's (even, odd)
+    solver = SolverConfig(t_final=0.5, snapshot_stride=40)
+    result = evolve(WavepacketSpec(x0=7.5, sigma=0.3, k0=k0), build_generator(WINDOW), solver)
+    ones, x = np.ones(WINDOW.n), WINDOW.grid().points()
+    for t, state, row in zip(result.times, result.snapshots, result.report):
+        norm_in = math.sqrt(expectation_inertial(state, ones).real)
+        norm_rin = math.sqrt(expectation_rindler(state, ones).real)
+        forms = {
+            "t": t,
+            "norm_even": math.sqrt(enlarged_expectation(state, np.diag([1.0, 0.0]), ones).real),
+            "norm_odd": math.sqrt(enlarged_expectation(state, np.diag([0.0, 1.0]), ones).real),
+            "norm_inertial": norm_in,
+            "norm_rindler": norm_rin,
+            "x_inertial": expectation_inertial(state, x).real / norm_in**2,
+            "x_rindler": expectation_rindler(state, x).real / norm_rin**2,
+            "corr_identity": correlation(state, ones),
+            "corr_position": correlation(state, x),
+        }
+        assert set(forms) == {f.name for f in fields(row)}
+        for name, value in forms.items():
+            assert getattr(row, name) == pytest.approx(value, rel=1e-12), (t, name)
 
 
 def test_growth_between_snapshots_is_caught_at_the_first_snapshot_it_spans(monkeypatch):

@@ -21,10 +21,9 @@ from hypothesis import strategies as st
 
 from rindlersim._sbp import norm_weights
 from rindlersim.cli import main
-from rindlersim.coords import Acceleration
+from rindlersim.coords import SINGULAR_MARGIN, U_MAX, Acceleration, find_singularity
 from rindlersim.errors import RindlerSimError
 from rindlersim.evolution import GridWindow, WavepacketSpec, cfl_dt
-from rindlersim.hamiltonian import SINGULAR_MARGIN, U_MAX, find_singularity
 from rindlersim.oracle import characteristics_rindler
 from rindlersim.runner import load_config
 

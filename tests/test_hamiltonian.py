@@ -5,20 +5,17 @@ import numpy as np
 import pytest
 
 from rindlersim.cli import main
-from rindlersim.coords import Acceleration
+from rindlersim.coords import U_MAX, U_STAR, Acceleration, find_singularity
 from rindlersim.errors import ConfigError, CoordinateDomainError, SingularityError
 from rindlersim.hamiltonian import (
     COEFFICIENT_CAP,
     ULTRA_SINGULAR_MARGIN,
-    U_MAX,
-    U_STAR,
     _SINGULAR_BRACKET,
     bisect,
     coefficient_arrays,
     coefficients,
     coefficients_via_inversion,
     denominator,
-    find_singularity,
     galileo_coefficients,
     hyperbolic_factors,
     ultra_coefficients,

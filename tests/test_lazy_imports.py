@@ -4,6 +4,7 @@ keeps the names, and the objects, it exported when it imported them all."""
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,12 +17,13 @@ from rindlersim import cli
 SRC = str(Path(rindlersim.__file__).parents[1])
 
 # every name the package exported when it imported its modules eagerly,
-# with the module it came from then
+# but GridObservable (the forms take a plain weights array), each with its
+# home module: the one module whose __all__ lists it
 EXPORTED = {
-    "coords": ("Acceleration", "Boost", "MinkowskiEvent", "RindlerEvent", "boost_of",
-               "in_right_wedge", "minkowski_to_rindler", "rindler_to_minkowski",
-               "u_of_delta"),
-    "embedding": ("EnlargedSpinorField", "Grid", "GridObservable", "ScalarField",
+    "coords": ("Acceleration", "Boost", "MinkowskiEvent", "RindlerEvent", "SingularPoint",
+               "boost_of", "find_singularity", "in_right_wedge", "minkowski_to_rindler",
+               "rindler_to_minkowski", "u_of_delta"),
+    "embedding": ("EnlargedSpinorField", "Grid", "ScalarField",
                   "correlation", "embed_initial", "expectation_inertial",
                   "expectation_rindler", "extract_inertial", "extract_rindler"),
     "errors": ("ConfigError", "CoordinateDomainError", "GridMismatchError", "HorizonError",
@@ -29,11 +31,10 @@ EXPORTED = {
                "SingularityError"),
     "evolution": ("EvolutionResult", "Generator", "GridWindow", "SolverConfig",
                   "WavepacketSpec", "build_generator", "cfl_dt", "evolve"),
-    "hamiltonian": ("CoefficientPoint", "SingularPoint", "coefficients",
-                    "coefficients_via_inversion", "denominator", "find_singularity",
-                    "galileo_coefficients", "ultra_coefficients"),
-    "runner": ("SimulationConfig", "cmd_coeffs", "cmd_evolve", "cmd_limits",
-               "cmd_singularity", "load_config"),
+    "hamiltonian": ("CoefficientPoint", "coefficients", "coefficients_via_inversion",
+                    "denominator", "galileo_coefficients", "ultra_coefficients"),
+    "runner": ("SimulationConfig", "cmd_evolve", "load_config"),
+    "scans": ("cmd_coeffs", "cmd_limits", "cmd_singularity"),
 }
 NAMES = [name for names in EXPORTED.values() for name in names]
 
@@ -99,6 +100,37 @@ def test_every_exported_name_is_its_modules_object():
             assert getattr(rindlersim, name) is getattr(owner, name), name
     with pytest.raises(AttributeError, match="no_such_name"):
         rindlersim.no_such_name
+
+
+def test_no_public_name_has_two_homes():
+    homes = {}
+    for info in pkgutil.iter_modules(rindlersim.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"rindlersim.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            homes.setdefault(name, []).append(module.__name__)
+    assert {name: owners for name, owners in homes.items() if len(owners) > 1} == {}
+    # and the package exports each name from its home (errors, which has
+    # no __all__, is the home of the names no module lists)
+    for name, module in rindlersim._EXPORTS.items():
+        home = f"rindlersim.{module}"
+        assert homes.get(name, [home]) == [home], name
+
+
+def test_removed_names_stay_unbound():
+    # O is a plain weights array, and no module re-exports another's names
+    with pytest.raises(AttributeError, match="GridObservable"):
+        rindlersim.GridObservable
+    gone = {
+        "embedding": ("GridObservable", "identity_observable", "position_observable",
+                      "window_projector"),
+        "hamiltonian": ("SingularPoint", "U_STAR", "SINGULAR_MARGIN", "find_singularity"),
+        "runner": ("cmd_coeffs", "cmd_limits", "cmd_singularity"),
+    }
+    for module, names in gone.items():
+        owner = importlib.import_module(f"rindlersim.{module}")
+        assert not [name for name in names if hasattr(owner, name)], module
 
 
 def test_a_fresh_import_loads_no_module_and_lists_every_name():

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from rindlersim import _travel_time, oracle
-from rindlersim.coords import Acceleration
+from rindlersim.coords import Acceleration, find_singularity
 from rindlersim.embedding import Grid, ScalarField
 from rindlersim.errors import ConfigError, GridMismatchError, OracleCoverageError
 from rindlersim.evolution import GridWindow, WavepacketSpec, build_generator
-from rindlersim.hamiltonian import find_singularity
 from rindlersim.oracle import (
     backtrace_origins,
     characteristics_rindler,

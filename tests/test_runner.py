@@ -19,12 +19,10 @@ from rindlersim.runner import (
     SNAPSHOT_HEADER,
     _write_snapshot,
     _write_snapshots,
-    cmd_coeffs,
     cmd_evolve,
-    cmd_limits,
-    cmd_singularity,
     load_config,
 )
+from rindlersim.scans import cmd_coeffs, cmd_limits, cmd_singularity
 
 A1 = Acceleration(1.0)
 
@@ -275,6 +273,37 @@ def test_config_run_builds_the_generator_once(tmp_path, monkeypatch):
     config = load_config(standard_config(tmp_path / "out", n=128, t_final=0.05))
     cmd_evolve(config)
     assert len(calls) == 1
+
+
+def test_a_window_above_the_snapshot_bound_is_rejected_before_sampling(
+    tmp_path, monkeypatch, capsys
+):
+    # every run holds its t = 0 snapshot of N samples, so a window of more
+    # than MAX_SNAPSHOT_SAMPLES is rejected when it is built, before any
+    # coefficient is sampled over it
+    import rindlersim.evolution as evolution_module
+
+    sample = evolution_module.coefficient_arrays
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(evolution_module, "coefficient_arrays", counted)
+    monkeypatch.setattr(evolution_module, "MAX_SNAPSHOT_SAMPLES", 128)
+    raw = standard_config(tmp_path / "out", n=129, t_final=0.0)
+    with pytest.raises(ConfigError, match="N = 129 is above MAX_SNAPSHOT_SAMPLES = 128"):
+        load_config(raw)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["evolve", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: N = 129 is above")
+    assert calls == [] and not (tmp_path / "out").exists()
+    # a window at the bound is sampled, and its t = 0 snapshot runs
+    config = load_config(standard_config(tmp_path / "out", n=128, t_final=0.0))
+    assert len(calls) == 1
+    assert len(cmd_evolve(config)["snapshot_paths"]) == 1
 
 
 def test_cmd_evolve_t0_single_row(tmp_path):
