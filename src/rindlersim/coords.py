@@ -21,7 +21,7 @@ band U_STAR +- SINGULAR_MARGIN that a window lies on, without numpy.
 from dataclasses import dataclass
 import math
 
-from .errors import CoordinateDomainError, HorizonError
+from .errors import CoordinateDomainError, HorizonError, number
 
 __all__ = [
     "Acceleration",
@@ -53,13 +53,20 @@ U_MAX = 1e305
 
 @dataclass(frozen=True)
 class Acceleration:
-    """Proper acceleration a > 0 (units of inverse length)."""
+    """Proper acceleration a > 0 (units of inverse length), held as a
+    float.  a is at least 2.016e-308, so that the singular point
+    x_star = U_STAR / a is a finite double."""
 
     a: float
 
     def __post_init__(self):
-        if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise CoordinateDomainError(f"acceleration must be positive, got {self.a}")
+        a = number(self.a, "a")
+        object.__setattr__(self, "a", a)
+        if not (a > 0.0 and U_STAR / a < math.inf):
+            raise CoordinateDomainError(
+                f"acceleration must be positive, with U_STAR / a finite "
+                f"(a >= 2.016028110926149e-308), got {a}"
+            )
 
 
 @dataclass(frozen=True)

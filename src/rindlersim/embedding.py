@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatchError
+from .errors import ConfigError, GridMismatchError, integer, number
 
 __all__ = [
     "Grid",
@@ -63,15 +63,19 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform spatial grid with n samples on [x_min, x_max]."""
+    """Uniform spatial grid with n samples on [x_min, x_max], its ends
+    held as floats."""
 
     x_min: float
     x_max: float
     n: int
 
     def __post_init__(self):
-        if self.n < 8:
-            raise ConfigError(f"grid needs at least 8 samples, got {self.n}")
+        for name in ("x_min", "x_max"):
+            object.__setattr__(self, name, number(getattr(self, name), name))
+        # 2**53: every sample index, and n - 1 in dx, is exact as a double
+        if not 8 <= integer(self.n, "N") <= 2**53:
+            raise ConfigError(f"grid needs at least 8 samples and at most 2**53, got {self.n}")
         if not self.x_max > self.x_min:
             raise ConfigError(f"empty grid interval [{self.x_min}, {self.x_max}]")
         # linspace rounds each sample by about an ulp: 8 of them apart keeps

@@ -1,4 +1,15 @@
-"""Exception hierarchy shared by all rindlersim modules."""
+"""Exception hierarchy shared by all rindlersim modules, and the two
+type rules of the numbers that set up a run.
+
+`number` and `integer` are the one check of a value's type.  The value
+types that hold a run's settings (coords.Acceleration, embedding.Grid
+and evolution.GridWindow, WavepacketSpec and SolverConfig) call them on
+their fields when they are built, and hamiltonian on a mode's delta, so
+a value that exists is valid however it was made: from a config file,
+from the command line or in code.  Each type then checks its own ranges.
+"""
+
+import sys
 
 
 class RindlerSimError(Exception):
@@ -48,3 +59,23 @@ class OracleCoverageError(RindlerSimError, ValueError):
     travel-time table does not resolve the speed there (lower the
     substep).  A characteristic that entered through an edge of the
     window is no error: the reference reads the zero inflow data."""
+
+
+def number(value, name: str) -> float:
+    """value as a float, once it is a finite real number and not a bool:
+    an int or a float, numpy's float64 included.  ConfigError otherwise;
+    an int too large for a double counts as not finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    # False for NaN and the infinities, and exact for ints of any size
+    if not abs(value) <= sys.float_info.max:
+        shown = repr(value) if isinstance(value, float) else "an integer beyond a double"
+        raise ConfigError(f"{name} must be finite, got {shown}")
+    return float(value)
+
+
+def integer(value, name: str) -> int:
+    """value, once it is an int and not a bool: ConfigError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value

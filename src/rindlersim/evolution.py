@@ -62,7 +62,7 @@ from .embedding import (
 # Not called here any more, but the traced benchmark (perfbench/tracing.py)
 # wraps these names on this module, so they must stay importable from it.
 from .embedding import correlation, expectation_inertial, expectation_rindler  # noqa: F401
-from .errors import ConfigError, InstabilityError
+from .errors import ConfigError, InstabilityError, integer, number
 from .hamiltonian import check_galileo_velocity, coefficient_arrays
 
 __all__ = [
@@ -122,14 +122,17 @@ PARTNER_MIN_POINTS = 4096
 @dataclass(frozen=True)
 class GridWindow(Grid):
     """The Grid of a simulation at acceleration a, checked when it is
-    built: first as a Grid, then for 64 to MAX_SNAPSHOT_SAMPLES samples
-    (every run holds its t = 0 snapshot) that lie on one side of the
-    singular band (coords.SingularPoint.branch)."""
+    built: first as a Grid, then for an Acceleration a and 64 to
+    MAX_SNAPSHOT_SAMPLES samples (every run holds its t = 0 snapshot)
+    that lie on one side of the singular band
+    (coords.SingularPoint.branch)."""
 
     a: Acceleration
 
     def __post_init__(self):
         super().__post_init__()
+        if not isinstance(self.a, Acceleration):
+            raise ConfigError(f"a must be an Acceleration, got {self.a!r}")
         if self.n < 64:
             raise ConfigError(f"evolution needs at least 64 grid points, got {self.n}")
         if self.n > MAX_SNAPSHOT_SAMPLES:
@@ -160,17 +163,20 @@ class SolverConfig:
     snapshot_stride: int = 1
 
     def __post_init__(self):
+        for name in ("cfl", "t_final"):
+            object.__setattr__(self, name, number(getattr(self, name), name))
         if not (0.0 < self.cfl <= 1.0):
             raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if not (0.0 <= self.t_final < math.inf):
-            raise ConfigError(f"t_final must be finite and >= 0, got {self.t_final}")
-        if self.snapshot_stride < 1:
+        if not self.t_final >= 0.0:
+            raise ConfigError(f"t_final must be >= 0, got {self.t_final}")
+        if integer(self.snapshot_stride, "snapshot_stride") < 1:
             raise ConfigError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
 
 
 @dataclass(frozen=True)
 class WavepacketSpec:
-    """Gaussian packet amplitude * exp(-(x-x0)^2/(2 sigma^2) + i k0 x)."""
+    """Gaussian packet amplitude * exp(-(x-x0)^2/(2 sigma^2) + i k0 x),
+    its parameters held as floats."""
 
     x0: float
     sigma: float
@@ -178,6 +184,8 @@ class WavepacketSpec:
     amplitude: float = 1.0
 
     def __post_init__(self):
+        for name in ("x0", "sigma", "k0", "amplitude"):
+            object.__setattr__(self, name, number(getattr(self, name), name))
         # evaluate divides by 2 sigma^2: a double above 0 that does not
         # overflow (sigma**2 raises OverflowError from sigma = 1.34e154)
         if not (0.0 < self.sigma < 1e153 and 2.0 * self.sigma**2 > 0.0):
@@ -289,9 +297,9 @@ class TransportStepper:
     and the (6, R, 8) closure terms with their (R, 8) sums, for R rows.
     """
 
-    def __init__(self, generator: Generator, solver: SolverConfig, rows=(0, 1)):
+    # solver is accepted and ignored: perfbench/child.py passes it
+    def __init__(self, generator: Generator, solver=None, rows=(0, 1)):
         self.generator = generator
-        self.solver = solver
         self.dx = generator.window.dx
         speeds = np.stack((generator.c_plus, generator.c_minus))[list(rows)]
         self._inverse_spacing = 1.0 / (12.0 * self.dx)
@@ -462,7 +470,7 @@ def _march(n_steps: int, dt: float, t_final: float, stride: int, step, snapshot)
     snapshot(n_steps, t_final)
 
 
-def _partner(march, row, generator, solver, parent: int, out: int, theirs: int):
+def _partner(march, row, generator, parent: int, out: int, theirs: int):
     """Body of the forked partner, run by _fork.start: it closes the
     caller's pipe end (theirs) and steps its own copy of psi' (row, the
     (1, N) view of the pair) with a stepper built for that row.  At each
@@ -471,7 +479,7 @@ def _partner(march, row, generator, solver, parent: int, out: int, theirs: int):
     os._exit(1) when the caller closed its end (EPIPE) or its parent is
     no longer `parent` (the caller died)."""
     os.close(theirs)
-    stepper = TransportStepper(generator, solver, rows=(1,))
+    stepper = TransportStepper(generator, rows=(1,))
     data = memoryview(row).cast("B")
 
     def step(h):
@@ -506,7 +514,7 @@ def _march_with_partner(march, pair: np.ndarray, stepper, snapshot):
         try:
             try:
                 pids.append(_fork.start(_partner, march, pair[1:], stepper.generator,
-                                        stepper.solver, os.getpid(), write_end, read_end))
+                                        os.getpid(), write_end, read_end))
             finally:
                 os.close(write_end)
 
@@ -570,7 +578,7 @@ def evolve(
             f"(raise snapshot_stride)"
         )
     split = n_steps > 0 and _split(window.n)
-    stepper = TransportStepper(generator, solver, rows=(0,) if split else (0, 1))
+    stepper = TransportStepper(generator, rows=(0,) if split else (0, 1))
 
     psi0 = ScalarField(grid=grid, values=packet.evaluate(generator.x))
     state0 = embed_initial(psi0)

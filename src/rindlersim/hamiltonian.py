@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import U_MAX, u_of_delta
-from .errors import ConfigError, CoordinateDomainError, SingularityError
+from .errors import ConfigError, CoordinateDomainError, SingularityError, number
 
 __all__ = [
     "CoefficientPoint",
@@ -287,9 +287,13 @@ def galileo_coefficients(v: float) -> CoefficientPoint:
 def ultra_f_delta(delta: float) -> float:
     """Expansion coefficient f(delta) = -delta / (2 (1 + 4/log(delta/2))).
 
-    delta = 1 - v must stay away from the singular value where
-    log(delta/2) = -4: |log(delta/2) + 4| must exceed ULTRA_SINGULAR_MARGIN.
+    delta = 1 - v is a number (errors.number) in (0, 1) and must stay
+    away from the singular value where log(delta/2) = -4:
+    |log(delta/2) + 4| must exceed ULTRA_SINGULAR_MARGIN.  This is the
+    one check of delta, which the 'ultra' mode of coefficient_arrays,
+    and through it build_generator and oracle.transport_speed, applies.
     """
+    delta = number(delta, "delta")
     if not (0.0 < delta < 1.0):
         raise CoordinateDomainError(f"delta must lie in (0, 1), got {delta}")
     log_half = math.log(delta / 2.0)

@@ -7,8 +7,11 @@ decimals, shortest round-trip float formatting, LF line endings and
 UTF-8; report JSON uses sorted keys and no timestamps, so identical
 configurations produce byte-identical outputs.  Config files are JSON
 with a fixed field set; unknown fields are rejected outright.
-load_config builds the run's generator once; cmd_evolve runs on it and
-makes its output directory only after the run returns.
+load_config checks only what a file has (keys, sections, scheme, the
+mode's shape, output_dir) and hands each number as it is to the value
+type that holds it, which checks its type and range when built
+(`errors`).  It builds the run's generator once; cmd_evolve runs on it
+and makes its output directory only after the run returns.
 
 Snapshot CSVs are formatted a block of rows at a time by the vectorised
 shortest round-trip formatter of _shortest, whose fields are exactly
@@ -20,7 +23,6 @@ file does not change its bytes.
 
 import contextlib
 import json
-import math
 import os
 import re
 from dataclasses import asdict, dataclass, fields
@@ -94,7 +96,7 @@ class SimulationConfig:
         """Configuration echo for reports; deliberately excludes the
         output directory so reruns into different places stay
         byte-identical."""
-        d = {
+        return {
             "a": self.a.a,
             "window": {
                 "x_min": self.window.x_min,
@@ -102,15 +104,10 @@ class SimulationConfig:
                 "N": self.window.n,
             },
             "packet": asdict(self.packet),
-            "time": {
-                "t_final": self.solver.t_final,
-                "cfl": self.solver.cfl,
-                "snapshot_stride": self.solver.snapshot_stride,
-            },
+            "time": asdict(self.solver),
             "scheme": {"derivative": "central4"},
             "mode": self.mode if self.delta is None else {"kind": self.mode, "delta": self.delta},
         }
-        return d
 
 
 def _require_keys(section, allowed: set, required: set, where: str) -> dict:
@@ -127,33 +124,23 @@ def _require_keys(section, allowed: set, required: set, where: str) -> dict:
     return section
 
 
-def _as_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    if not math.isfinite(float(value)):
-        raise ConfigError(f"{where} must be finite, got {value!r}")
-    return float(value)
-
-
-def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return value
-
-
 def load_config(source) -> SimulationConfig:
-    """Build a validated SimulationConfig from a dict or a path to JSON
-    text.  Fails closed: unknown fields, sections that are not objects
-    and text that is not JSON are errors.  Omitted optional fields take
-    the defaults of WavepacketSpec and SolverConfig."""
-    try:
-        if isinstance(source, (str, os.PathLike)):
+    """Build a SimulationConfig from a dict or a path to JSON text.
+    Fails closed: unknown fields, sections that are not objects and text
+    that is not JSON are errors.  This reads what only a file has: its
+    keys and sections, the scheme, the mode's shape and output_dir.  The
+    numbers go to the value types as they are, and each type checks its
+    own fields when it is built.  Omitted optional fields take the
+    defaults of WavepacketSpec and SolverConfig."""
+    raw = source
+    if isinstance(source, (str, os.PathLike)):
+        try:
             with open(source, "r", encoding="utf-8") as handle:
                 raw = json.load(handle)
-        else:
-            raw = source
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
+        # JSONDecodeError, UnicodeDecodeError, and an integer of more digits
+        # than int() converts (sys.get_int_max_str_digits)
+        except ValueError as exc:
+            raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
 
     _require_keys(
         raw,
@@ -161,25 +148,13 @@ def load_config(source) -> SimulationConfig:
         required={"a", "window", "packet", "time"},
         where="configuration",
     )
-
-    a = Acceleration(_as_number(raw["a"], "a"))
-
     win = _require_keys(raw["window"], {"x_min", "x_max", "N"}, {"x_min", "x_max", "N"}, "window")
-    window = GridWindow(
-        x_min=_as_number(win["x_min"], "window.x_min"),
-        x_max=_as_number(win["x_max"], "window.x_max"),
-        n=_as_int(win["N"], "window.N"),
-        a=a,
-    )
-
+    window = GridWindow(win["x_min"], win["x_max"], win["N"], Acceleration(raw["a"]))
     pk = _require_keys(raw["packet"], {"x0", "sigma", "k0", "amplitude"}, {"x0", "sigma"}, "packet")
-    packet = WavepacketSpec(**{key: _as_number(pk[key], f"packet.{key}") for key in pk})
-
+    packet = WavepacketSpec(**pk)
     tm = _require_keys(raw["time"], {"t_final", "cfl", "snapshot_stride"}, {"t_final"}, "time")
-    solver_args = {
-        key: (_as_int if key == "snapshot_stride" else _as_number)(tm[key], f"time.{key}")
-        for key in tm
-    }
+    solver = SolverConfig(**tm)
+
     scheme_raw = _require_keys(raw.get("scheme", {}), {"derivative", "boundary"}, set(), "scheme")
     if "derivative" in scheme_raw:
         derivative = scheme_raw["derivative"]
@@ -197,20 +172,21 @@ def load_config(source) -> SimulationConfig:
             f"boundary must be 'sponge' (the SBP-SAT closure), got {boundary!r}. "
             "Periodic boundaries were removed."
         )
-    solver = SolverConfig(**solver_args)
 
     mode_raw = raw.get("mode", "exact")
     if isinstance(mode_raw, str):
         mode_raw = {"kind": mode_raw}
     _require_keys(mode_raw, {"kind", "delta"}, {"kind"}, "mode (a string or object)")
-    delta = _as_number(mode_raw["delta"], "mode.delta") if "delta" in mode_raw else None
+    # a null delta would read as no delta; the mode checks any other value
+    if "delta" in mode_raw and mode_raw["delta"] is None:
+        raise ConfigError("mode.delta must be a number, got None")
 
     output_dir = raw.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError("output_dir must be a string path")
 
-    # validates the mode before any run starts; the window was checked when built
-    generator = build_generator(window, mode=mode_raw["kind"], delta=delta)
+    # validates the mode and its delta before any run starts
+    generator = build_generator(window, mode=mode_raw["kind"], delta=mode_raw.get("delta"))
     return SimulationConfig(
         generator=generator, packet=packet, solver=solver, output_dir=output_dir
     )

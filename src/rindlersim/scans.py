@@ -12,7 +12,7 @@ sample when they are called.
 import math
 
 from .coords import Acceleration, find_singularity
-from .errors import ConfigError
+from .errors import ConfigError, integer, number
 
 __all__ = ["cmd_coeffs", "cmd_singularity", "cmd_limits"]
 
@@ -45,9 +45,11 @@ def cmd_coeffs(
 
     from .hamiltonian import COEFFICIENT_CAP, SINGULAR_EPS, coefficient_arrays
 
+    # a bound that is not finite would reach linspace, which warns on it
+    u_min, u_max = number(u_min, "u_min"), number(u_max, "u_max")
     if not (1.0 <= u_min < u_max):
         raise ConfigError(f"need 1 <= u_min < u_max, got [{u_min}, {u_max}]")
-    if samples < 2:
+    if integer(samples, "samples") < 2:
         raise ConfigError(f"need at least 2 samples, got {samples}")
     u = np.linspace(u_min, u_max, samples)
     # every sample is evaluated; singular ones are flagged, not raised
@@ -106,7 +108,6 @@ def cmd_limits(regime: str, values, out_path) -> list:
         _write_csv(out_path, "v,f_exact,f_limit,abs_diff,bound_v2", rows)
     elif regime == "ultra":
         for delta in values:
-            delta = float(delta)
             fd = ultra_f_delta(delta)
             limit = ultra_coefficients(delta)
             exact = coefficients(limit.u)

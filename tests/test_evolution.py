@@ -883,8 +883,10 @@ def test_packet_width_whose_square_is_not_a_double_is_rejected(sigma):
 def test_packet_amplitude_outside_the_normal_range_is_rejected(amplitude):
     # squares of such a packet leave the normal doubles: below, the report
     # norms lost digits (1e-160) or read 0; above, its observables
-    # overflowed at t = 0 and the run exited as unstable
-    with pytest.raises(ConfigError, match="packet amplitude"):
+    # overflowed at t = 0 and the run exited as unstable.  NaN and inf
+    # fail the type rule of every number field first
+    message = "packet amplitude" if math.isfinite(amplitude) else "amplitude must be finite"
+    with pytest.raises(ConfigError, match=message):
         WavepacketSpec(x0=7.5, sigma=0.3, amplitude=amplitude)
 
 

@@ -707,7 +707,7 @@ def test_a_partner_whose_reader_is_gone_ends_silently(tmp_path, capfd):
     march = functools.partial(evolution._march, 14, 0.01, 0.14, 7)
     try:
         pid = _fork.start(evolution._partner, march, pair[1:], config.generator,
-                          config.solver, os.getpid(), write_end, theirs)
+                          os.getpid(), write_end, theirs)
     finally:
         os.close(write_end)
         os.close(theirs)
@@ -974,7 +974,7 @@ def _evolve_argv(edit):
          "error: scheme.derivative must be 'central4' (SBP(4,2) with SAT), got 'upwind1'. "
          "The first-order upwind scheme was removed.\n"),
         (_evolve_argv(lambda raw: raw["window"].update(x_min=math.nan)), 2,
-         "error: window.x_min must be finite"),
+         "error: x_min must be finite, got nan\n"),
         (_evolve_argv(lambda raw: raw["window"].update(x_max=4.5)), 2,
          "error: empty grid interval"),
         (_evolve_argv(lambda raw: raw.update(output_dir=5)), 2,
@@ -1006,12 +1006,34 @@ def _evolve_argv(edit):
         (lambda tmp_path: ["coeffs", "--samples", "1", "--out", str(tmp_path / "c.csv")], 2,
          "error: need at least 2 samples"),
         (lambda tmp_path: ["singularity", "--json"], 0, ""),
+        # a bound that is not finite is rejected before linspace warns on it
+        (lambda tmp_path: ["coeffs", "--u-max", "inf", "--out", str(tmp_path / "c.csv")], 2,
+         "error: u_max must be finite, got inf\n"),
+        # x_star = U_STAR / a would overflow to inf, which is not JSON
+        (lambda tmp_path: ["singularity", "--a", "1e-320", "--json"], 2,
+         "error: acceleration must be positive, with U_STAR / a finite"),
+        # JSON integers beyond a double, in each section
+        (_evolve_argv(lambda raw: raw.update(a=10**400)), 2,
+         "error: a must be finite, got an integer beyond a double\n"),
+        (_evolve_argv(lambda raw: raw["window"].update(x_max=10**400)), 2,
+         "error: x_max must be finite, got an integer beyond a double\n"),
+        (_evolve_argv(lambda raw: raw["window"].update(N=10**400)), 2,
+         "error: grid needs at least 8 samples and at most 2**53, got 1000"),
+        (_evolve_argv(lambda raw: raw["packet"].update(k0=10**400)), 2,
+         "error: k0 must be finite, got an integer beyond a double\n"),
+        (_evolve_argv(lambda raw: raw["time"].update(t_final=10**400)), 2,
+         "error: t_final must be finite, got an integer beyond a double\n"),
+        (_evolve_argv(lambda raw: raw.update(mode={"kind": "ultra", "delta": -10**400})), 2,
+         "error: delta must be finite, got an integer beyond a double\n"),
     ],
     ids=["a-string", "a-zero", "a-negative", "derivative-upwind1", "x_min-nan",
          "window-empty", "output_dir-number", "no-output_dir",
          "sigma-underflow", "sigma-overflow", "amplitude-1e-310", "amplitude-1e200",
          "t_final-1e308", "cfl-1e-310", "cfl-1e-200", "snapshot-samples",
-         "values-not-numbers", "coeffs-one-sample", "singularity"],
+         "values-not-numbers", "coeffs-one-sample", "singularity", "coeffs-u_max-inf",
+         "singularity-a-1e-320", "a-int-beyond-double", "x_max-int-beyond-double",
+         "N-int-beyond-double", "k0-int-beyond-double", "t_final-int-beyond-double",
+         "delta-int-beyond-double"],
 )
 def test_entry_point_exit_codes(tmp_path, argv, code, stderr):
     # `python -m rindlersim`, as the benchmark runs it: an error is one
