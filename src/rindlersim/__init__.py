@@ -11,9 +11,9 @@ The package is organized around these pieces:
   bisection gives U_STAR, the small-velocity / near-light-speed limits,
   and the one definition of the coefficient modes (exact, galileo,
   ultra).
-- embedding: the two-component encoding (even/odd split), frame
-  extraction, and the Pauli-block bilinear forms for expectation values
-  and cross-frame correlations.
+- embedding: the two-component encoding (even/odd split) both ways,
+  frame extraction and its inverse, and the Pauli-block bilinear forms
+  for expectation values and cross-frame correlations.
 - evolution: method-of-lines transport of the two-component state on a
   window that is checked when it is built, with RK4 time stepping and
   SBP-SAT boundaries.

@@ -9,7 +9,9 @@ wavefunction read in the accelerated frame, psi'.  Extraction is linear:
     psi' = psi_e - psi_o          (= (1, 1) sigma_z Psi)
 
 so the frame change, which no physical operation could apply to psi
-instantaneously, is the perfectly physical gate sigma_z on Psi.
+instantaneously, is the perfectly physical gate sigma_z on Psi.  The
+inverse, `from_frames`, is linear too: psi_e = (psi + psi')/2 and
+psi_o = (psi - psi')/2.
 
 Expectation values in either frame, and cross-frame correlations, are
 bilinear forms of Psi built from 2x2 Pauli blocks tensored with a grid
@@ -45,6 +47,7 @@ __all__ = [
     "embed_initial",
     "extract_inertial",
     "extract_rindler",
+    "from_frames",
     "enlarged_expectation",
     "expectation_inertial",
     "expectation_rindler",
@@ -169,6 +172,15 @@ def extract_rindler(psi: EnlargedSpinorField) -> ScalarField:
     the enlarged state followed by the same (1, 1) readout.
     """
     return ScalarField(grid=psi.grid, values=psi.even - psi.odd)
+
+
+def from_frames(grid: Grid, psi: np.ndarray, psi_prime: np.ndarray) -> EnlargedSpinorField:
+    """The two-component state read off as psi and psi' on grid, the
+    inverse of extract_inertial and extract_rindler: psi_e = (psi + psi')/2,
+    psi_o = (psi - psi')/2, each a new array."""
+    return EnlargedSpinorField(
+        grid=grid, even=0.5 * (psi + psi_prime), odd=0.5 * (psi - psi_prime)
+    )
 
 
 def enlarged_expectation(

@@ -8,8 +8,9 @@ accelerated-frame combination psi' = psi_e - psi_o is transported at
 the variable speed c_minus = f - g.  The solver therefore advances the
 two scalars as the rows of one (2, N) array (method of lines, classical
 RK4), which TransportStepper.step_eigen overwrites in place without
-allocating; evolve reassembles (psi_e, psi_o) only at snapshots, each
-a new array that later steps leave alone.  A coupled two-component
+allocating; evolve reassembles (psi_e, psi_o) only at snapshots, with
+embedding.from_frames, the inverse of embedding's extractions, into
+new arrays that later steps leave alone.  A coupled two-component
 stepper, with plain allocating RK4, is kept alongside as a
 consistency hook.
 
@@ -57,13 +58,14 @@ from .embedding import (
     extract_inertial,
     extract_rindler,
     field_norm,
+    from_frames,
     inner,
 )
 # Not called here any more, but the traced benchmark (perfbench/tracing.py)
 # wraps these names on this module, so they must stay importable from it.
 from .embedding import correlation, expectation_inertial, expectation_rindler  # noqa: F401
 from .errors import ConfigError, InstabilityError, integer, number
-from .hamiltonian import check_galileo_velocity, coefficient_arrays
+from .hamiltonian import coefficient_arrays
 
 __all__ = [
     "NORM_GROWTH_TOL",
@@ -252,13 +254,11 @@ def build_generator(
 ) -> Generator:
     """Sample the coefficients of a mode of hamiltonian.coefficient_arrays
     over a window, which lies on one side of the singular band since it
-    was checked when it was built.  In 'galileo' mode the largest v on the
-    window must pass hamiltonian.check_galileo_velocity.  There every mode
-    keeps |f| below 4."""
+    was checked when it was built.  The mode applies its own rules: a
+    'galileo' window past v = GALILEO_V_MAX is a ConfigError, and one past
+    GALILEO_V_WARN warns.  There every mode keeps |f| below 4."""
     x = window.points()
     f, g, _ = coefficient_arrays(window.a.a * x, mode, delta)
-    if mode == "galileo":
-        check_galileo_velocity(2.0 * np.max(np.abs(g)))  # this mode's g is -v/2
     return Generator(window, mode, delta, x, f, g, c_plus=f + g, c_minus=f - g)
 
 
@@ -270,14 +270,6 @@ def cfl_dt(window: GridWindow, generator: Generator, cfl: float) -> float:
 # the start of the closure sums: -0.0 + x is x for every double x, while
 # add.reduce starts from +0.0, and +0.0 + -0.0 is +0.0
 _NEGATIVE_ZERO = complex(-0.0, -0.0)
-
-
-def _assemble(grid: Grid, pair: np.ndarray) -> EnlargedSpinorField:
-    """A new two-component state (even, odd) from the pair (psi, psi')."""
-    plus, minus = pair
-    return EnlargedSpinorField(
-        grid=grid, even=0.5 * (plus + minus), odd=0.5 * (plus - minus)
-    )
 
 
 class TransportStepper:
@@ -582,9 +574,7 @@ def evolve(
 
     psi0 = ScalarField(grid=grid, values=packet.evaluate(generator.x))
     state0 = embed_initial(psi0)
-    pair = np.empty((2, window.n), dtype=complex)
-    pair[0] = extract_inertial(state0).values
-    pair[1] = extract_rindler(state0).values
+    pair = np.stack((extract_inertial(state0).values, extract_rindler(state0).values))
 
     # psi's SBP norm, which SBP-SAT does not let grow
     weights = _sbp.norm_weights(window.n)
@@ -615,7 +605,7 @@ def evolve(
         report.append(row)
 
     def snapshot(k: int, t: float):
-        record(k, t, _assemble(grid, pair))
+        record(k, t, from_frames(grid, *pair))
 
     record(0, 0.0, state0)
     if n_steps:

@@ -34,12 +34,14 @@ is kept deliberately independent of the closed forms above and acts as
 a derivation oracle for them (g's denominator is easy to get wrong by
 hand; the matrix route and the sum rule pin it down).
 
-Small-velocity and near-light-speed approximations of (f, g) are
-provided as `galileo_coefficients` and `ultra_coefficients`;
-`check_galileo_velocity` is the one range rule of the first, which the
-solver's galileo mode applies too.
 `coefficient_arrays` is the one definition of the coefficient modes
-that the solver, the oracle and the coefficient scan sample.
+that the solver, the oracle and the coefficient scan sample.  Each
+approximate mode holds its own formula and range: 'galileo' the
+small-velocity limit (`_galileo`), a ConfigError past |v| =
+GALILEO_V_MAX and a warning past GALILEO_V_WARN; 'ultra' the
+near-light-speed limit and its delta rule (`ultra_f_delta`).
+`galileo_coefficients` and `ultra_coefficients` read the same modes at
+one velocity, for the `limits` table.
 """
 
 import math
@@ -63,7 +65,6 @@ __all__ = [
     "coefficients",
     "coefficient_arrays",
     "coefficients_via_inversion",
-    "check_galileo_velocity",
     "galileo_coefficients",
     "ultra_f_delta",
     "ultra_f_delta_coarse",
@@ -140,8 +141,9 @@ def coefficient_arrays(
 ):
     """Vectorized (f, g, D) over an array of u values in one mode: 'exact'
     (the closed forms), 'galileo' (f = 1 + v/2, g = -v/2 at the local
-    v = s/u) or 'ultra' (f = 1 + f_delta, g = -f_delta; needs delta).
-    D is NaN outside 'exact'.  Bad mode/delta pairs raise ConfigError.
+    v = s/u, a ConfigError where any v exceeds GALILEO_V_MAX) or 'ultra'
+    (f = 1 + f_delta, g = -f_delta; needs delta).  D is NaN outside
+    'exact'.  Bad mode/delta pairs raise ConfigError.
 
     'exact' raises SingularityError if any sample sits within eps of
     the root of D; flagged scans pass eps = -inf and test D themselves.
@@ -159,8 +161,8 @@ def coefficient_arrays(
     u = np.asarray(u, dtype=float)
     if mode == "galileo":
         s, _ = hyperbolic_factors(u)
-        v = s / u
-        return 1.0 + v / 2.0, -v / 2.0, np.full(u.shape, np.nan)
+        f, g = _galileo(s / u)
+        return f, g, np.full(u.shape, np.nan)
     if u.ndim == 0:
         f, g, D = coefficient_arrays(u.reshape(1), eps=eps)
         return f[0], g[0], D[0]
@@ -255,33 +257,38 @@ def bisect(fn, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def check_galileo_velocity(v: float):
-    """The range of the small-velocity limit: ConfigError for a speed v
-    above GALILEO_V_MAX, a warning above GALILEO_V_WARN that points at the
+def _galileo(v):
+    """The small-velocity limit (f, g) = (1 + v/2, -v/2) at speeds v >= 0,
+    a float or an array: ConfigError when the largest v is above
+    GALILEO_V_MAX, a warning above GALILEO_V_WARN that points at the
     caller's caller."""
-    if v > GALILEO_V_MAX:
-        raise ConfigError(f"small-velocity limit needs |v| <= {GALILEO_V_MAX}, got v = {v:.4g}")
-    if v > GALILEO_V_WARN:
+    top = np.max(v, initial=0.0)
+    if top > GALILEO_V_MAX:
+        raise ConfigError(f"small-velocity limit needs |v| <= {GALILEO_V_MAX}, got v = {top:.4g}")
+    if top > GALILEO_V_WARN:
         warnings.warn(
-            f"small-velocity approximation is marginal at v = {v:.4g} > {GALILEO_V_WARN}",
+            f"small-velocity approximation is marginal at v = {top:.4g} > {GALILEO_V_WARN}",
             stacklevel=3,
         )
+    return 1.0 + v / 2.0, -v / 2.0
 
 
 def galileo_coefficients(v: float) -> CoefficientPoint:
-    """Small-velocity limit f = 1 + v/2, g = -v/2 at u = 1/sqrt(1 - v^2).
+    """Small-velocity limit f = 1 + v/2, g = -v/2 at u = 1/sqrt(1 - v^2):
+    the 'galileo' mode of coefficient_arrays at speed v.
 
     Valid for 0 <= v << 1: u(v) = u(-v), and the exact coefficients at
     u belong to v = s/u >= 0, so a negative v is a CoordinateDomainError.
-    Past that, check_galileo_velocity holds v to its range.  The
-    denominator concept does not apply in this regime, so the returned
-    point carries NaN there.
+    Past that, the mode's range holds v (ConfigError above
+    GALILEO_V_MAX, a warning above GALILEO_V_WARN).  The denominator
+    concept does not apply in this regime, so the returned point carries
+    NaN there.
     """
     if not (v >= 0.0):
         raise CoordinateDomainError(f"small-velocity coefficients need v >= 0, got {v}")
-    check_galileo_velocity(v)
+    f, g = _galileo(v)
     u = 1.0 / math.sqrt((1.0 - v) * (1.0 + v))
-    return CoefficientPoint(u=u, f=1.0 + v / 2.0, g=-v / 2.0, denominator=math.nan)
+    return CoefficientPoint(u=u, f=f, g=g, denominator=math.nan)
 
 
 def ultra_f_delta(delta: float) -> float:
@@ -291,7 +298,8 @@ def ultra_f_delta(delta: float) -> float:
     away from the singular value where log(delta/2) = -4:
     |log(delta/2) + 4| must exceed ULTRA_SINGULAR_MARGIN.  This is the
     one check of delta, which the 'ultra' mode of coefficient_arrays,
-    and through it build_generator and oracle.transport_speed, applies.
+    and through it build_generator, oracle.transport_speed and
+    ultra_coefficients, applies.
     """
     delta = number(delta, "delta")
     if not (0.0 < delta < 1.0):
@@ -312,12 +320,13 @@ def ultra_f_delta_coarse(delta: float) -> float:
 
 def ultra_coefficients(delta: float) -> CoefficientPoint:
     """Near-light-speed limit f = 1 + f_delta, g = -f_delta: the 'ultra'
-    mode of coefficient_arrays at u = u_of_delta(delta).
+    mode of coefficient_arrays at u = u_of_delta(delta), which checks
+    delta by the mode's rule before u is computed.
 
     As delta -> 0 this reduces to the trivial generator (f, g) = (1, 0):
     at v = 1 the frame change is an ordinary time-independent boost and
     leaves the transport dynamics invariant.
     """
+    f, g, D = coefficient_arrays(1.0, "ultra", delta)
     u = u_of_delta(delta)
-    f, g, D = coefficient_arrays(u, "ultra", delta)
     return CoefficientPoint(u=u, f=float(f), g=float(g), denominator=float(D))

@@ -64,8 +64,10 @@ def transport_speed(
     window: GridWindow, mode: str = "exact", delta: float | None = None
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Speed profile c_minus(x) = f - g of the accelerated-frame component
-    for the given coefficient mode, evaluable at arbitrary positions; a bad
-    mode or delta raises ConfigError when it is evaluated."""
+    for the given coefficient mode, evaluable at arbitrary positions.  The
+    mode's own rules apply when it is evaluated, as in build_generator: a
+    bad mode or delta, or galileo positions past v = GALILEO_V_MAX, raise
+    ConfigError, and galileo positions past GALILEO_V_WARN warn."""
     a = window.a.a
 
     def speed(x):

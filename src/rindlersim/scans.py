@@ -14,7 +14,14 @@ import math
 from .coords import Acceleration, find_singularity
 from .errors import ConfigError, integer, number
 
-__all__ = ["cmd_coeffs", "cmd_singularity", "cmd_limits"]
+__all__ = ["MAX_SAMPLES", "cmd_coeffs", "cmd_singularity", "cmd_limits"]
+
+# most samples a coefficient scan may take: a 200,000-sample scan peaked
+# at 437 B a sample (the u, f, g, D arrays, the flags and the formatted
+# rows; tracemalloc) and took about 30 us a sample, so 2^20 samples peak
+# near 0.46 GB and run for about half a minute, while 10^9 would exhaust
+# memory instead of raising an error.
+MAX_SAMPLES = 2**20
 
 
 def _fmt(value: float) -> str:
@@ -51,6 +58,8 @@ def cmd_coeffs(
         raise ConfigError(f"need 1 <= u_min < u_max, got [{u_min}, {u_max}]")
     if integer(samples, "samples") < 2:
         raise ConfigError(f"need at least 2 samples, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ConfigError(f"samples = {samples} is above MAX_SAMPLES = {MAX_SAMPLES}")
     u = np.linspace(u_min, u_max, samples)
     # every sample is evaluated; singular ones are flagged, not raised
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -86,16 +95,11 @@ def cmd_limits(regime: str, values, out_path) -> list:
     """Comparison table between exact coefficients and a limit regime.
 
     galileo: v, f_exact, f_limit, |difference| and the bound v^2.
-    ultra: delta, g_exact at the matching position, -f_delta and their
-    relative deviation.
+    ultra: delta, g_exact at the matching position, the mode's
+    g = -f_delta and their relative deviation.
     """
     # imported here, not at the top, so that `singularity` loads no numpy
-    from .hamiltonian import (
-        coefficients,
-        galileo_coefficients,
-        ultra_coefficients,
-        ultra_f_delta,
-    )
+    from .hamiltonian import coefficients, galileo_coefficients, ultra_coefficients
 
     rows = []
     if regime == "galileo":
@@ -108,11 +112,10 @@ def cmd_limits(regime: str, values, out_path) -> list:
         _write_csv(out_path, "v,f_exact,f_limit,abs_diff,bound_v2", rows)
     elif regime == "ultra":
         for delta in values:
-            fd = ultra_f_delta(delta)
             limit = ultra_coefficients(delta)
             exact = coefficients(limit.u)
-            rel = abs(exact.g - (-fd)) / abs(fd)
-            rows.append([_fmt(delta), _fmt(exact.g), _fmt(-fd), _fmt(rel)])
+            rel = abs(exact.g - limit.g) / abs(limit.g)
+            rows.append([_fmt(delta), _fmt(exact.g), _fmt(limit.g), _fmt(rel)])
         _write_csv(out_path, "delta,g_exact,minus_f_delta,rel_deviation", rows)
     else:
         raise ConfigError(f"unknown limit regime {regime!r}")

@@ -13,6 +13,7 @@ from rindlersim.embedding import (
     extract_inertial,
     extract_rindler,
     field_norm,
+    from_frames,
     inner,
     IDENTITY_2,
     PAULI_X,
@@ -104,6 +105,23 @@ def test_linear_map_consistency():
     scale = np.max(np.abs(state.even)) + np.max(np.abs(state.odd))
     assert np.max(np.abs(total - 2.0 * state.even)) <= 4e-16 * scale
     assert np.max(np.abs(diff - 2.0 * state.odd)) <= 4e-16 * scale
+
+
+
+def test_from_frames_inverts_the_extractions():
+    # (psi + psi')/2 and (psi - psi')/2, up to one rounding per add
+    rng = np.random.default_rng(7)
+    state = random_spinor(GRID, rng)
+    back = from_frames(GRID, extract_inertial(state).values, extract_rindler(state).values)
+    scale = np.max(np.abs(state.even)) + np.max(np.abs(state.odd))
+    assert back.grid == GRID
+    assert np.max(np.abs(back.even - state.even)) <= 4e-16 * scale
+    assert np.max(np.abs(back.odd - state.odd)) <= 4e-16 * scale
+    # at t = 0 psi' = psi, and Psi = (psi, 0) exactly, in new arrays
+    p = gaussian(GRID)
+    start = from_frames(GRID, p, p)
+    assert np.array_equal(start.even, p) and np.all(start.odd == 0.0)
+    assert not np.shares_memory(start.even, p)
 
 
 def test_expectation_identity_on_pure_even():

@@ -145,11 +145,12 @@ def test_huge_positions_give_finite_coefficients_up_to_u_max():
     # from u ~ 3.6e152; both are taken apart there, and the domain ends
     # at U_MAX, below the overflow of u*r
     u = np.array([1e153, 1e154, 1.4e154, 1e200, 1e300, U_MAX])
-    for mode in ("exact", "galileo"):
-        f, g, _ = coefficient_arrays(u, mode)
-        assert np.all(np.isfinite(f)) and np.all(np.isfinite(g))
     f, g, D = coefficient_arrays(u)
+    assert np.all(np.isfinite(f)) and np.all(np.isfinite(g))
     assert np.all(np.isfinite(D)) and np.all(D < 0.0)
+    # there v = s/u is 1: outside the galileo mode's range
+    with pytest.raises(ConfigError, match=r"got v = 1$"):
+        coefficient_arrays(u, "galileo")
     s, r = hyperbolic_factors(u)
     assert np.all(np.isfinite(s)) and np.all(np.isfinite(r))
     assert np.allclose(s, u, rtol=1e-15)
@@ -329,6 +330,21 @@ def test_galileo_speed_above_the_limit_is_a_config_error(tmp_path):
         galileo_coefficients(0.25)
     out = str(tmp_path / "l.csv")
     assert main(["limits", "--regime", "galileo", "--values", "0.25", "--out", out]) == 2
+
+
+def test_the_galileo_mode_holds_its_own_range():
+    # v = s/u is 0.866 at u = 2 and 0.197 at u = 1.02; the warning points
+    # at the line that called coefficient_arrays
+    with pytest.raises(
+        ConfigError, match=r"^small-velocity limit needs \|v\| <= 0\.2, got v = 0\.866$"
+    ):
+        coefficient_arrays(np.array([1.001, 2.0]), "galileo")
+    marginal = r"^small-velocity approximation is marginal at v = 0\.1971 > 0\.1$"
+    with pytest.warns(UserWarning, match=marginal) as caught:
+        coefficient_arrays(1.02, "galileo")
+    assert caught[0].filename == __file__
+    f, g, _ = coefficient_arrays(np.empty(0), "galileo")
+    assert f.shape == g.shape == (0,)
 
 
 def test_galileo_limit_bound():

@@ -78,6 +78,7 @@ def test_ultra_mode_speed_is_constant_and_near_unity():
             transport_speed(WINDOW, mode=mode)(WINDOW.grid().points())
 
 
+@pytest.mark.filterwarnings("ignore:small-velocity approximation is marginal")
 @pytest.mark.parametrize(
     "window, mode, delta",
     [
@@ -93,6 +94,20 @@ def test_transport_speed_is_the_solver_speed_bit_for_bit(window, mode, delta):
         generator = build_generator(window, mode=mode, delta=delta)
     speed = transport_speed(window, mode=mode, delta=delta)
     assert np.array_equal(speed(window.grid().points()), generator.c_minus)
+
+
+def test_the_oracle_samples_the_galileo_mode_with_its_range():
+    # the solver's rule reaches the oracle: refused past v = 0.2 with the
+    # same message, and a warning on the marginal window
+    window = GridWindow(1.05, 2.0, 256, A1)
+    with pytest.raises(ConfigError) as built:
+        build_generator(window, mode="galileo")
+    with pytest.raises(ConfigError) as sampled:
+        characteristics_rindler(WavepacketSpec(1.5, 0.1), 0.5, window, mode="galileo")
+    assert str(sampled.value) == str(built.value)
+    marginal = GridWindow(1.001, 1.02, 512, A1)
+    with pytest.warns(UserWarning, match="small-velocity approximation is marginal"):
+        transport_speed(marginal, mode="galileo")(marginal.grid().points())
 
 
 def test_characteristic_trace_lands_near_expected_origin():
@@ -287,6 +302,7 @@ def buffered_sin(n):
     return lambda X: np.sin(X, out=out)
 
 
+@pytest.mark.filterwarnings("ignore:small-velocity approximation is marginal")
 @pytest.mark.parametrize(
     "x, t, speed, bounds",
     [
@@ -375,6 +391,7 @@ def route_cases():
     }
 
 
+@pytest.mark.filterwarnings("ignore:small-velocity approximation is marginal")
 @pytest.mark.parametrize("case", list(route_cases()))
 def test_travel_time_route_agrees_with_the_rk4_trace(case):
     # At the default substep RK4's own error lies well below the bound:

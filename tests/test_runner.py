@@ -962,6 +962,12 @@ def _evolve_argv(edit):
     return argv
 
 
+def _limits_argv(regime, value):
+    """argv of a limits run on one value."""
+    return lambda tmp_path: ["limits", "--regime", regime, f"--values={value}",
+                             "--out", str(tmp_path / "l.csv")]
+
+
 @pytest.mark.parametrize(
     "argv, code, stderr",
     [
@@ -1025,6 +1031,23 @@ def _evolve_argv(edit):
          "error: t_final must be finite, got an integer beyond a double\n"),
         (_evolve_argv(lambda raw: raw.update(mode={"kind": "ultra", "delta": -10**400})), 2,
          "error: delta must be finite, got an integer beyond a double\n"),
+        # far above MAX_SAMPLES: rejected before anything is allocated
+        (lambda tmp_path: ["coeffs", "--samples", "10000000000000",
+                           "--out", str(tmp_path / "c.csv")], 2,
+         "error: samples = 10000000000000 is above MAX_SAMPLES = 1048576\n"),
+        (_limits_argv("ultra", "nan"), 2, "error: delta must be finite, got nan\n"),
+        (_limits_argv("ultra", "inf"), 2, "error: delta must be finite, got inf\n"),
+        (_limits_argv("ultra", "0.0366"), 2,
+         "error: delta = 0.0366 is within the singular margin: "
+         "|log(delta/2) + 4| = 0.000854 <= 0.5\n"),
+        (_limits_argv("ultra", "0"), 2, "error: delta must lie in (0, 1), got 0.0\n"),
+        (_limits_argv("ultra", "2"), 2, "error: delta must lie in (0, 1), got 2.0\n"),
+        (_limits_argv("galileo", "0.25"), 2,
+         "error: small-velocity limit needs |v| <= 0.2, got v = 0.25\n"),
+        (_limits_argv("galileo", "-0.1"), 2,
+         "error: small-velocity coefficients need v >= 0, got -0.1\n"),
+        (_limits_argv("galileo", "nan"), 2,
+         "error: small-velocity coefficients need v >= 0, got nan\n"),
     ],
     ids=["a-string", "a-zero", "a-negative", "derivative-upwind1", "x_min-nan",
          "window-empty", "output_dir-number", "no-output_dir",
@@ -1033,7 +1056,9 @@ def _evolve_argv(edit):
          "values-not-numbers", "coeffs-one-sample", "singularity", "coeffs-u_max-inf",
          "singularity-a-1e-320", "a-int-beyond-double", "x_max-int-beyond-double",
          "N-int-beyond-double", "k0-int-beyond-double", "t_final-int-beyond-double",
-         "delta-int-beyond-double"],
+         "delta-int-beyond-double", "coeffs-samples-1e13", "limits-ultra-nan",
+         "limits-ultra-inf", "limits-ultra-singular", "limits-ultra-0", "limits-ultra-2",
+         "limits-galileo-0.25", "limits-galileo-negative", "limits-galileo-nan"],
 )
 def test_entry_point_exit_codes(tmp_path, argv, code, stderr):
     # `python -m rindlersim`, as the benchmark runs it: an error is one

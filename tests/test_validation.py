@@ -15,7 +15,7 @@ from rindlersim.coords import U_STAR, Acceleration
 from rindlersim.embedding import Grid
 from rindlersim.errors import ConfigError, CoordinateDomainError
 from rindlersim.evolution import GridWindow, SolverConfig, WavepacketSpec, build_generator
-from rindlersim.hamiltonian import ultra_f_delta
+from rindlersim.hamiltonian import ultra_coefficients, ultra_f_delta
 from rindlersim.oracle import transport_speed
 from rindlersim.runner import load_config
 from rindlersim.scans import cmd_coeffs, cmd_limits
@@ -129,8 +129,10 @@ def test_a_grid_of_more_samples_than_a_double_counts_is_rejected():
         lambda delta: build_generator(GridWindow(4.5, 12.0, 128, A1), "ultra", delta),
         lambda delta: transport_speed(GridWindow(4.5, 12.0, 128, A1), "ultra", delta)(6.0),
         lambda delta: cmd_limits("ultra", [delta], os.devnull),
+        lambda delta: ultra_coefficients(delta),
     ],
-    ids=["ultra_f_delta", "build_generator", "transport_speed", "cmd_limits"],
+    ids=["ultra_f_delta", "build_generator", "transport_speed", "cmd_limits",
+         "ultra_coefficients"],
 )
 @pytest.mark.parametrize(
     "delta, message",

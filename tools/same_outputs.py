@@ -20,13 +20,16 @@ The cases:
 - `evolve` on the demos/04 config and on it at snapshot stride 1;
 - `evolve` at N = 4096, where a forked partner steps psi' if two CPUs
   are free;
-- `evolve` on a config written with JSON integers, and on one in the
-  'ultra' mode with a delta;
+- `evolve` on a config written with JSON integers, on one in the
+  'ultra' mode with a delta, and on one in the 'galileo' mode on
+  [1.001, 1.005], where v <= 0.1 and no warning is raised;
 - `coeffs`, `singularity` (plain and --json) and `limits` in both
   regimes.
 
 All outputs go to a temporary directory, removed at the end.  The whole
-set, 16 cases of two runs each, takes about 20 s on 2 shared CPUs.
+set, 17 cases of two runs each, takes about 14 s on 2 shared CPUs.
+With this checkout's own src/ as OTHER_SRC it checks that reruns in
+fresh processes give the same bytes.
 """
 
 import difflib
@@ -97,6 +100,12 @@ def cases() -> dict:
         evolve,
     )
     table["ultra-delta"] = (_with(DEMO04, mode={"kind": "ultra", "delta": 0.01}), evolve)
+    table["galileo"] = (
+        _with(DEMO04, window={"x_min": 1.001, "x_max": 1.005, "N": 256},
+              packet={"x0": 1.003, "sigma": 0.0001},
+              time={"t_final": 0.0005, "snapshot_stride": 20}, mode="galileo"),
+        evolve,
+    )
     table["coeffs"] = (None, ["coeffs", "--out", "OUT/coeffs.csv"])
     table["singularity"] = (None, ["singularity", "--a", "2.5"])
     table["singularity-json"] = (None, ["singularity", "--json"])
